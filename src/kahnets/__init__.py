@@ -8,7 +8,7 @@ from .errors import (ArityMismatch, ArityTooSmall, ConfigError, DslSyntaxError,
                      NonProductive, OutOfDomain, StaleRedex, UndeclaredPort,
                      UnknownKind, UnknownSymbol)
 from .iso import NetIso, find_iso, identity_iso
-from .kahn import (BOT, Interpretation, Stream, StreamFn, as_stream_fn,
+from .kahn import (BOT, Interpretation, Stream, StreamFn, as_stream_fn, causal,
                    check_functoriality, const_source, denote, divc_fn, eps_fn,
                    iota_fn, is_prefix, minus_fn, plus_fn, pointwise, scale_fn,
                    trace_fn)

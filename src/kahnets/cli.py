@@ -13,6 +13,9 @@ Subcommands::
 Exit codes: 0 ok, 1 property/iso failure, 2 usage or file errors,
 3 evaluation errors.  Every error prints one machine-readable line
 ``error <code>: <message>`` on stderr (or a JSON object with ``--json``).
+When ``eval`` runs out of sweeps before its fixpoint, it still prints the
+outputs and exits 0, after one ``warning budget-exhausted: <message>`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -239,10 +242,14 @@ def _cmd_eval(args) -> int:
         raise DslSyntaxError(f"net {args.net!r} is invalid: {report.errors[0].message}")
     inputs = [_parse_input_spec(spec) for spec in args.input]
     interp = std_interpretation(scale=args.scale, divc=args.divc)
-    outputs = denote(net, interp, inputs, budget=args.budget)
+    outputs, stats = denote(net, interp, inputs, budget=args.budget, return_stats=True)
+    if not stats.reached_fixpoint:
+        print(f"warning budget-exhausted: no fixpoint within {stats.sweeps} sweeps, "
+              f"outputs may be cut short (raise --budget)", file=sys.stderr)
 
     if args.json:
-        print(json.dumps({"outputs": [list(o) for o in outputs]}))
+        print(json.dumps({"outputs": [list(o) for o in outputs], "sweeps": stats.sweeps,
+                          "reached_fixpoint": stats.reached_fixpoint}))
         return 0
     headers = ["step"] + (["value"] if net.n == 1 else [f"value{i}" for i in range(net.n)])
     lines = [",".join(headers)]

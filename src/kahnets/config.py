@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .exprs import parse_expr
-from .nstime import CtFn, DeltaSchedule
+from .nstime import CtFn, DeltaSchedule, SamplingPeriod
 
 _SCHEDULE_HALVINGS = 4
 
@@ -65,7 +65,7 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
                 probes = tuple(float(v) for v in value.split(","))
             elif key.startswith("input."):
                 index = int(key[len("input."):])
-                inputs[index] = _parse_input(value, base_dir, number)
+                inputs[index] = _parse_input(key, value, base_dir, number)
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
         except ValueError as exc:
@@ -84,18 +84,19 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         ordered.append(inputs[i])
     try:
         sched = DeltaSchedule(schedule, tol)
+        SamplingPeriod(sched.deltas[0], tmax)  # the coarsest period must fit the window
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return SimConfig(delta, tmax, sched, probes, tuple(ordered))
 
 
-def _parse_input(value: str, base_dir: str, line: int) -> CtFn:
+def _parse_input(key: str, value: str, base_dir: str, line: int) -> CtFn:
     if ":" not in value:
         raise ConfigError(f"input needs 'expr:' or 'csv:' prefix, got {value!r}", line=line)
     kind, payload = (part.strip() for part in value.split(":", 1))
     if kind == "expr":
         fn = parse_expr(payload)
-        return CtFn(fn, "unknown", name=payload)
+        return CtFn(fn, "unknown", name=f"{key} ({payload})")
     if kind == "csv":
         path = payload if os.path.isabs(payload) else os.path.join(base_dir, payload)
         return load_continuous_csv(path)

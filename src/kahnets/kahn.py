@@ -4,18 +4,39 @@ Streams are finite prefixes of real-valued sequences ordered by extension;
 the empty prefix is bottom.  A net denotes the least solution of its port
 equations: boundary-input ports carry the given streams, each operator-output
 port carries the corresponding component of the operator's interpretation
-applied to its input ports, and undriven ports stay at bottom.  The solution
-is computed by Kleene sweeps from the all-bottom assignment; each sweep may
-only extend port prefixes, which is asserted.
+applied to its input ports, and undriven ports stay at bottom.  That solution
+(Kahn 1974) does not depend on how operators or ports are numbered, and
+neither does anything :func:`denote` reports.
 
-Interpretations receive a ``limit`` argument equal to the current sweep
-number: functions with unbounded output (sources with no inputs) use it to
-produce one more element per demand step, everything else ignores it.
+Scheduling.  The operator graph (``y`` depends on ``x`` when ``y`` reads a
+port ``x`` drives) is condensed into strongly connected components (Tarjan
+1972), which are solved one at a time in topological order, each on the final
+streams of the components before it.  An operator on no loop is fired once,
+or, when it is a source or has no declared step, re-fired with a rising
+``limit`` while its output grows.  A loop is solved in sweeps: sweep ``r``
+extends the ports the loop drives to the least solution of its equations with
+each such port cut to ``r`` elements.  A loop with a delay therefore gains one
+element per sweep in whatever order its operators are listed, and a budget of
+``b`` sweeps leaves at most ``b`` elements on every port a loop drives.
+
+Interpretations receive a ``limit`` argument, the current sweep number:
+functions with unbounded output (sources with no inputs) use it to produce
+one more element per demand step, everything else ignores it.
+
+Causality.  A :class:`StreamFn` that declares a ``step`` is causal: the step
+appends to each output only the elements that the inputs' current prefixes
+define beyond what is already there, so a loop costs time linear in the
+length of its streams (semi-naive evaluation).  All builtins here are causal;
+:func:`causal` builds a function from its step alone.  A function without a
+step takes the whole-prefix path: it is re-called on whole prefixes, and each
+call is checked to only extend its outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, MissingBinding, MonotonicityViolation
@@ -23,6 +44,12 @@ from .nets import Net, compose, tensor, trace
 
 Stream = tuple[float, ...]
 BOT: Stream = ()
+
+#: ``step(streams, have, limit)``: the elements to append to each output,
+#: given the input prefixes (read-only sequences) and the current length of
+#: each output.
+Step = Callable[[tuple[Sequence[float], ...], tuple[int, ...], int],
+                tuple[Sequence[float], ...]]
 
 
 def as_stream(values: Sequence[float]) -> Stream:
@@ -48,12 +75,19 @@ class StreamFn:
 
     ``fn(streams, limit)`` maps a tuple of input streams to a tuple of output
     streams; it must be monotone (extending inputs never retracts outputs).
+
+    ``step``, when given, declares the function causal and is its incremental
+    form: called with the input prefixes, the current output lengths ``have``
+    and ``limit``, it returns the elements that follow position ``have[j]`` of
+    output ``j`` in ``fn(streams, limit)[j]``.  Only a function without inputs
+    may let ``limit`` change what its step returns.
     """
 
     ins: int
     outs: int
     fn: Callable[[tuple[Stream, ...], int], tuple[Stream, ...]]
     name: str = ""
+    step: Optional[Step] = field(default=None, kw_only=True)
 
     def __call__(self, streams: Sequence[Stream], limit: int = 0) -> tuple[Stream, ...]:
         if len(streams) != self.ins:
@@ -64,11 +98,19 @@ class StreamFn:
         return tuple(tuple(o) for o in outs)
 
 
+def causal(name: str, ins: int, outs: int, step: Step) -> StreamFn:
+    """The causal stream function whose incremental form is ``step``."""
+    def whole(streams: tuple[Stream, ...], limit: int) -> tuple[Stream, ...]:
+        return step(streams, (0,) * outs, limit)
+    return StreamFn(ins, outs, whole, name, step=step)
+
+
 def pointwise(name: str, ins: int, f: Callable[..., float]) -> StreamFn:
     """Lift a value function to streams; output length is the shortest input."""
-    def run(streams: tuple[Stream, ...], limit: int) -> tuple[Stream, ...]:
-        return (tuple(f(*vals) for vals in zip(*streams)),)
-    return StreamFn(ins, 1, run, name=name)
+    def step(streams, have, limit):
+        h, n = have[0], min(map(len, streams), default=0)
+        return ([f(*vals) for vals in zip(*(s[h:n] for s in streams))],)
+    return causal(name, ins, 1, step)
 
 
 plus_fn = pointwise("plus", 2, lambda a, b: a + b)
@@ -83,13 +125,17 @@ def divc_fn(c: float) -> StreamFn:
     return pointwise(f"divc({c})", 1, lambda a: a / c)
 
 
-iota_fn = StreamFn(1, 1, lambda ss, limit: ((0.0,) + ss[0],), name="iota")
-eps_fn = StreamFn(1, 1, lambda ss, limit: (ss[0][1:],), name="eps")
+# out[0] = 0 and out[k] = in[k-1]
+iota_fn = causal("iota", 1, 1, lambda ss, have, limit: (
+    ([0.0] if have[0] == 0 else []) + list(ss[0][max(have[0] - 1, 0):]),))
+# out[k] = in[k+1]
+eps_fn = causal("eps", 1, 1, lambda ss, have, limit: (ss[0][have[0] + 1:],))
 
 
 def const_source(k: float) -> StreamFn:
     """A source emitting one more ``k`` per demand step."""
-    return StreamFn(0, 1, lambda ss, limit: ((float(k),) * max(limit, 0),), name=f"const({k})")
+    return causal(f"const({k})", 0, 1,
+                  lambda ss, have, limit: ((float(k),) * max(limit - have[0], 0),))
 
 
 @dataclass(frozen=True)
@@ -122,63 +168,177 @@ class DenoteStats:
     total_lengths: tuple[int, ...]  # summed defined length after each sweep
 
 
+def _components(ins: Mapping[int, Sequence[int]],
+                outs: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
+    """The strongly connected components of the operator graph given by each
+    operator's input and output ports, in topological order (iterative
+    Tarjan, so deep nets hit no recursion limit)."""
+    driver = {p: x for x in outs for p in outs[x]}
+    succ: dict[int, list[int]] = {x: [] for x in outs}
+    for y in ins:
+        for p in ins[y]:
+            if p in driver:
+                succ[driver[p]].append(y)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    for root in outs:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, todo = work[-1]
+            for y in todo:
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    stack.append(y)
+                    on_stack.add(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if y in on_stack:
+                    low[x] = min(low[x], index[y])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == index[x]:
+                    comp = []
+                    while not comp or comp[-1] != x:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    comps.append(tuple(comp))
+    comps.reverse()
+    return comps
+
+
 def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
            budget: int, *, max_len: Optional[int] = None,
            return_stats: bool = False):
-    """Evaluate the net on input streams with at most ``budget`` Kleene sweeps.
+    """Evaluate the net on input streams with at most ``budget`` sweeps.
+
+    Components of the operator graph are solved in topological order (see the
+    module docstring).  A causal operator with inputs on no loop fires once;
+    any other operator on no loop is re-called with ``limit`` 1, 2, ... up to
+    ``budget`` until its output stops growing.  A loop runs sweeps: sweep
+    ``r`` extends every port it drives to the least solution with such ports
+    cut to ``r`` elements.  Within a sweep only operators whose output the cut
+    held back, and then the readers of what grew, are fired; causal ones
+    append just the suffix their inputs newly define.
 
     ``max_len`` truncates every stream to a fixed window (used by the sampled
     continuous-time backend, where the window is the horizon).  Returns the
-    tuple of boundary-output streams, plus sweep statistics when asked.
+    tuple of boundary-output streams, plus :class:`DenoteStats` when asked:
+    ``sweeps`` is that of the longest-running component, counting the sweep
+    that found nothing to add; ``reached_fixpoint`` holds when every component
+    found such a sweep within budget; ``total_lengths`` sums the length of
+    every port after each sweep.
     """
     if len(inputs) != net.m:
         raise ArityMismatch(f"net takes {net.m} inputs, got {len(inputs)}")
-    streams_in = [as_stream(s) for s in inputs]
-    if max_len is not None:
-        streams_in = [s[:max_len] for s in streams_in]
 
-    ops = net.operators
     fns: dict[int, StreamFn] = {}
-    for x in ops:
+    ins: dict[int, tuple[int, ...]] = {}
+    outs: dict[int, tuple[int, ...]] = {}
+    readers: dict[int, list[int]] = defaultdict(list)
+    for x in net.operators:
         f = interp[net.labels[x]]
-        if f.ins != net.op_arity(x) or f.outs != net.op_coarity(x):
+        ins[x], outs[x] = net.op_inputs(x), net.op_outputs(x)
+        if f.ins != len(ins[x]) or f.outs != len(outs[x]):
             raise ArityMismatch(
                 f"binding for {net.labels[x]!r} has arity {f.ins}->{f.outs}, "
-                f"operator {x} has {net.op_arity(x)}->{net.op_coarity(x)}")
+                f"operator {x} has {len(ins[x])}->{len(outs[x])}")
         fns[x] = f
+        for p in ins[x]:
+            readers[p].append(x)
 
-    table: dict[int, Stream] = {p: BOT for p in net.ports}
+    # Each port's prefix is one list, extended in place, so an operator's
+    # argument and result lists can be gathered once.
+    vals: dict[int, list[float]] = {p: [] for p in net.ports}
     for k in range(net.m):
-        table[net.tgt[k]] = streams_in[k]
+        vals[net.tgt[k]] = list(as_stream(inputs[k])[:max_len])
+    args = {x: tuple(vals[p] for p in ins[x]) for x in fns}
+    dests = {x: tuple(vals[p] for p in outs[x]) for x in fns}
+    base = sum(len(v) for v in vals.values())
+    growth: dict[int, int] = defaultdict(int)  # elements added in each sweep
+    pending: set[int] = set()  # loop operators that may grow when the cut rises
 
-    lengths: list[int] = []
-    fixpoint = False
-    sweep = 0
-    while sweep < budget:
-        sweep += 1
-        changed = False
-        for x in ops:
-            args = tuple(table[p] for p in net.op_inputs(x))
-            outs = fns[x](args, limit=sweep)
-            for j, p in enumerate(net.op_outputs(x)):
-                new = outs[j]
-                if max_len is not None:
-                    new = new[:max_len]
-                old = table[p]
-                if not is_prefix(old, new):
+    def fire(x: int, limit: int, cap: Optional[int]) -> list[int]:
+        """Extend the outputs of ``x`` up to ``cap``; the ports that grew."""
+        f, dest = fns[x], dests[x]
+        if f.step is not None:
+            new = f.step(args[x], tuple(map(len, dest)), limit)
+            if len(new) != len(dest):
+                raise ArityMismatch(f"{f.name or 'stream function'} stepped {len(new)} streams, "
+                                    f"declared {len(dest)}")
+        else:
+            new = []
+            for p, v, s in zip(outs[x], dest, f(tuple(map(tuple, args[x])), limit)):
+                if not is_prefix(tuple(v), s[:cap]):
                     raise MonotonicityViolation(
                         f"binding for {net.labels[x]!r} retracted a prefix at port {p}")
-                if new != old:
-                    table[p] = new
-                    changed = True
-        lengths.append(sum(len(s) for s in table.values()))
-        if not changed:
-            fixpoint = True
-            break
+                new.append(s[len(v):])
+        grown = []
+        for p, v, s in zip(outs[x], dest, new):
+            if cap is not None and len(v) + len(s) > cap:
+                s = s[:cap - len(v)]
+                pending.add(x)
+            if s:
+                v.extend(s)
+                growth[limit] += len(s)
+                grown.append(p)
+        return grown
 
-    outputs = tuple(table[net.src[k]] for k in range(net.n))
+    last = 0  # the latest sweep in which any port grew
+    for comp in _components(ins, outs):
+        x = comp[0]
+        if len(comp) == 1 and set(ins[x]).isdisjoint(outs[x]):
+            if fns[x].step is not None and fns[x].ins:
+                if budget >= 1 and fire(x, 1, max_len):
+                    last = max(last, 1)
+                continue
+            r = 0
+            while r < budget and fire(x, r + 1, max_len):
+                r += 1
+            last = max(last, r)
+            continue
+        # A loop: raising the cut can only let the held-back operators grow,
+        # and then the readers of what grew; one already at the cut is held
+        # back again without being fired.
+        members = set(comp)
+        pending.update(comp)
+        for r in range(1, budget + 1):
+            cut = r if max_len is None else min(r, max_len)
+            todo = deque(y for y in comp if y in pending)
+            queued = set(todo)
+            grew = False
+            while todo:
+                y = todo.popleft()
+                queued.discard(y)
+                if all(len(v) >= cut for v in dests[y]):
+                    pending.add(y)
+                    continue
+                pending.discard(y)
+                for p in fire(y, r, cut):
+                    grew = True
+                    for z in readers[p]:
+                        if z in members and z not in queued:
+                            todo.append(z)
+                            queued.add(z)
+            if not grew:
+                break
+            last = max(last, r)
+
+    sweeps = max(0, min(budget, last + 1))
+    outputs = tuple(tuple(vals[net.src[k]]) for k in range(net.n))
     if return_stats:
-        return outputs, DenoteStats(sweep, fixpoint, tuple(lengths))
+        lengths = tuple(accumulate((growth[r] for r in range(1, sweeps + 1)), initial=base))
+        return outputs, DenoteStats(sweeps, last < budget, lengths[1:])
     return outputs
 
 

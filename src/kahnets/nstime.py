@@ -79,7 +79,10 @@ class CtFn:
     name: str = ""
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+        try:
+            return float(self.fn(t))
+        except (ArithmeticError, ValueError) as exc:
+            raise OutOfDomain(f"{self.name or 'function'} is undefined at t={t}: {exc}") from None
 
     @staticmethod
     def from_samples(ts: Sequence[float], vs: Sequence[float], name: str = "") -> "CtFn":

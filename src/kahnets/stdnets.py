@@ -13,8 +13,8 @@ plain syntax and carry no numeric parameter.
 from __future__ import annotations
 
 from .errors import UnknownKind
-from .kahn import (Interpretation, StreamFn, divc_fn, eps_fn, iota_fn,
-                   minus_fn, plus_fn, pointwise, scale_fn)
+from .kahn import (Interpretation, causal, divc_fn, eps_fn, iota_fn, minus_fn,
+                   plus_fn, pointwise, scale_fn)
 from .nets import Net, Signature, compose, duplication, generator, identity, tensor, trace
 
 
@@ -93,11 +93,15 @@ def std_interpretation(scale: float = 1.0, divc: float = 1.0) -> Interpretation:
         "iota": iota_fn,
         "eps": eps_fn,
         "alpha": pointwise("alpha", 2, lambda a, b: 2.0 * a - b),
-        "beta": StreamFn(2, 2, lambda ss, limit: (
-            tuple(u + v for u, v in zip(ss[0], ss[1])),
-            tuple(u - v for u, v in zip(ss[0], ss[1])),
-        ), name="beta"),
+        "beta": causal("beta", 2, 2, _beta_step),
     })
+
+
+def _beta_step(ss, have, limit):
+    a, b = ss
+    n = min(len(a), len(b))
+    return ([u + v for u, v in zip(a[have[0]:n], b[have[0]:n])],
+            [u - v for u, v in zip(a[have[1]:n], b[have[1]:n])])
 
 
 def it_interpretation(delta: float) -> Interpretation:

@@ -72,9 +72,23 @@ class TestSeEquiv:
 class TestEval:
     def test_running_sum_csv(self, capsys):
         assert main(["eval", fx("running_sum.net"), "main", "--input", "1,2,3"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
+        captured = capsys.readouterr()
+        out = captured.out.strip().splitlines()
         assert out[0] == "step,value"
         assert out[1:] == ["0,1.0", "1,3.0", "2,6.0"]
+        assert captured.err == ""  # the fixpoint was reached: no warning
+
+    def test_budget_exhaustion_warns(self, capsys):
+        spec = ",".join(str(k) for k in range(1, 201))
+        assert main(["eval", fx("running_sum.net"), "main", "--input", spec]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 1 + 100
+        (line,) = captured.err.splitlines()
+        assert line.startswith("warning budget-exhausted: ")
+        assert main(["eval", fx("running_sum.net"), "main", "--input", spec, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["outputs"][0]) == 100
+        assert (payload["sweeps"], payload["reached_fixpoint"]) == (100, False)
 
     def test_deterministic_output(self, capsys):
         main(["eval", fx("integration.net"), "main", "--input", "1,2,3,4", "--scale", "0.5"])
@@ -94,6 +108,7 @@ class TestEval:
         assert main(["eval", fx("running_sum.net"), "main", "--input", "2,2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["outputs"] == [[2.0, 4.0]]
+        assert payload["reached_fixpoint"] is True and payload["sweeps"] <= 100
 
     def test_wrong_input_count_is_an_eval_error(self, capsys):
         assert main(["eval", fx("running_sum.net"), "main"]) == 3
@@ -140,6 +155,28 @@ class TestSimulate:
         cfg.write_text("delta = 0.01\ntmax = 0.1\ninput.0 = expr: t\n")
         assert main(["simulate", str(net), "n", "--config", str(cfg)]) == 3
         assert "non-productive" in capsys.readouterr().err
+
+
+    def test_loop_listed_against_data_flow(self, capsys):
+        for name in ("flow", "against"):
+            assert main(["simulate", fx("integration_roundtrip.net"), name,
+                         "--config", fx("sin01.cfg"), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["agree"] is True
+
+    def test_window_shorter_than_a_period_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.005\ninput.0 = expr: t\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error config-error: ")
+
+    def test_undefined_input_is_an_evaluation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.1\ninput.0 = expr: 1/t\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error out-of-domain: ")
+        assert "input.0" in line and "t=0.0" in line
 
 
 class TestLaws:

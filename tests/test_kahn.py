@@ -1,19 +1,22 @@
 """Discrete stream semantics: builtins, fixpoint evaluation, functoriality."""
 
+import math
+import os
 import random
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahnets import (ArityMismatch, GenParams, Interpretation, MissingBinding,
-                     MonotonicityViolation, StreamFn, as_stream_fn,
-                     check_functoriality, compose, const_source, denote,
-                     duplication, eps_fn, find_iso, gen_random_net, generator,
-                     identity, iota_fn, is_prefix, minus_fn, normalize,
-                     plus_fn, scale_fn, tensor, trace, trace_fn)
-from kahnets.stdnets import STD_SIG, build, std_interpretation
+from kahnets import (ArityMismatch, CtFn, GenParams, Interpretation,
+                     MissingBinding, MonotonicityViolation, Net, SamplingPeriod,
+                     StreamFn, as_stream_fn, check_functoriality, compose,
+                     const_source, denote, denote_it, duplication, eps_fn,
+                     find_iso, gen_random_net, generator, identity, iota_fn,
+                     is_prefix, minus_fn, normalize, parse_document, plus_fn,
+                     sample, scale_fn, tensor, trace, trace_fn)
+from kahnets.stdnets import KINDS, STD_SIG, build, it_interpretation, std_interpretation
 
 INTERP = std_interpretation(scale=2.0, divc=2.0)
 
@@ -200,3 +203,124 @@ class TestRewriteRespectsSemantics:
             assert find_iso(net, other) is not None
             ins = [tuple(float(rng.randint(-4, 4)) for _ in range(3)) for _ in range(net.m)]
             assert denote(net, INTERP, ins, budget=30) == denote(other, INTERP, ins, budget=30)
+
+
+def renumber(net: Net, rng: random.Random) -> Net:
+    """The same net with operators and ports renamed to shuffled, sparse ids."""
+    op_ids = rng.sample(range(3 * len(net.labels) + 1), len(net.labels))
+    port_ids = rng.sample(range(3 * len(net.ports) + 1), len(net.ports))
+    ops = dict(zip(sorted(net.labels), op_ids))
+    ports = dict(zip(sorted(net.ports), port_ids))
+
+    def slot(s):
+        return (ops[s[0]], s[1]) if isinstance(s, tuple) else s
+
+    return Net(net.m, net.n, frozenset(ports.values()),
+               {ops[x]: lab for x, lab in net.labels.items()},
+               {slot(s): ports[p] for s, p in net.src.items()},
+               {slot(s): ports[p] for s, p in net.tgt.items()})
+
+
+def has_loop(net: Net) -> bool:
+    """Whether some operator reads, through other operators, its own output."""
+    driver = {p: s[0] for s, p in net.tgt.items() if isinstance(s, tuple)}
+    preds = {x: {driver[p] for p in net.op_inputs(x) if p in driver} for x in net.operators}
+    while preds:
+        free = [x for x, ps in preds.items() if not ps & preds.keys()]
+        if not free:
+            return True
+        for x in free:
+            del preds[x]
+    return False
+
+
+def loop_nets(how_many: int) -> list[Net]:
+    """The first ``how_many`` random nets, by seed, that contain a loop."""
+    nets = (gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=8))
+            for seed in count())
+    return list(islice(filter(has_loop, nets), how_many))
+
+
+def roundtrip(name: str) -> Net:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "integration_roundtrip.net")
+    with open(path) as handle:
+        return parse_document(handle.read()).net(name)
+
+
+class TestNumberingIndependence:
+    def test_loop_listed_against_data_flow_fills_the_window(self):
+        p = SamplingPeriod(1e-2, 2.05)
+        ins = [sample(CtFn(math.sin, "continuous"), p)]
+        against = denote_it(roundtrip("against"), it_interpretation(1e-2), ins, p)
+        flow = denote_it(roundtrip("flow"), it_interpretation(1e-2), ins, p)
+        assert len(against[0]) == p.horizon == 205
+        assert against[0].values == flow[0].values
+
+    def test_renumbering_changes_neither_outputs_nor_sweeps(self):
+        rng = random.Random(31)
+        nets = [build(kind) for kind in KINDS] + loop_nets(40)
+        for index, net in enumerate(nets):
+            ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, 8)))
+                   for _ in range(net.m)]
+            for budget in (3, 40):
+                want = denote(net, INTERP, ins, budget, return_stats=True)
+                for _ in range(3):
+                    got = denote(renumber(net, rng), INTERP, ins, budget, return_stats=True)
+                    assert got == want, (index, budget)
+
+    def test_long_loop_in_either_listing_order(self):
+        # iota feeding a chain of 1000 scale operators back into itself: the
+        # component search must not recurse once per operator
+        size = 1000
+        src = {(x, 0): x - 1 for x in range(1, size + 1)}
+        src.update({(0, 0): size, 0: size})
+        tgt = {(x, 0): x for x in range(size + 1)}
+        labels = {0: "iota", **{x: "scale" for x in range(1, size + 1)}}
+        net = Net(0, 1, frozenset(range(size + 1)), labels, src, tgt)
+        for candidate in (net, renumber(net, random.Random(5))):
+            out, stats = denote(candidate, INTERP, [], budget=3, return_stats=True)
+            assert out == ((0.0, 0.0, 0.0),)
+            assert (stats.sweeps, stats.reached_fixpoint) == (3, False)
+
+
+def strip_steps(interp: Interpretation) -> Interpretation:
+    """The same bindings without their incremental steps, as a wrapper that
+    rebuilds each function from ``fn`` alone leaves them."""
+    return Interpretation({name: StreamFn(f.ins, f.outs, f.fn, f.name)
+                           for name, f in interp.bindings.items()})
+
+
+class TestIncrementalMatchesWholePrefix:
+    def test_fixtures_and_random_nets(self):
+        rng = random.Random(47)
+        nets = [build(kind) for kind in KINDS] + [
+            gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=8))
+            for seed in range(60)]
+        assert any(has_loop(net) for net in nets)
+        assert any("beta" in net.labels.values() for net in nets)
+        assert any(net.ports - net.driven_ports() - {net.tgt[k] for k in range(net.m)}
+                   for net in nets)
+        for interp in (std_interpretation(), it_interpretation(0.5)):
+            generic = strip_steps(interp)
+            for index, net in enumerate(nets):
+                ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, 12)))
+                       for _ in range(net.m)]
+                for budget in (1, 5, 40):
+                    for max_len in (None, 7):
+                        fast = denote(net, interp, ins, budget, max_len=max_len,
+                                      return_stats=True)
+                        slow = denote(net, generic, ins, budget, max_len=max_len,
+                                      return_stats=True)
+                        assert fast == slow, (index, budget, max_len)
+
+    def test_declared_steps_extend_their_whole_prefix_function(self):
+        streams = ((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0))
+        for f, args in [(plus_fn, streams), (iota_fn, streams[:1]), (eps_fn, streams[:1]),
+                        (scale_fn(2.0), streams[:1]), (INTERP["beta"], streams),
+                        (const_source(7.0), ())]:
+            whole = f(args, limit=4)
+            for cut in range(5):
+                have = tuple(min(cut, len(w)) for w in whole)
+                tail = f.step(args, have, 4)
+                assert tuple(w[:h] + tuple(t) for w, h, t in zip(whole, have, tail)) == whole
