@@ -34,7 +34,7 @@ from .iso import find_iso
 from .kahn import denote
 from .laws import ALL_AXIOMS, run_suite
 from .nets import Net, validate
-from .nstime import SamplingPeriod, delta_independence, denote_it, sample
+from .nstime import delta_independence
 from .randnets import GenParams
 from .rewrite import normalize, se_witness
 from .stdnets import it_interpretation, std_interpretation, std_signature
@@ -137,23 +137,30 @@ def _load(path: str) -> NetDocument:
 
 
 def net_to_json(net: Net) -> dict:
+    w = net.wiring
+    ops = list(zip(w.op_ids, w.ops))
     return {
         "m": net.m,
         "n": net.n,
-        "ports": sorted(net.ports),
-        "operators": [{"id": x, "label": net.labels[x]} for x in net.operators],
-        "op_src": [[x, i, net.src[(x, i)]] for x in net.operators
-                   for i in range(net.op_arity(x))],
-        "op_tgt": [[x, j, net.tgt[(x, j)]] for x in net.operators
-                   for j in range(net.op_coarity(x))],
-        "in_tgt": [net.tgt[k] for k in range(net.m)],
-        "out_src": [net.src[k] for k in range(net.n)],
+        "ports": list(w.port_ids),
+        "operators": [{"id": x, "label": label} for x, (label, _, _) in ops],
+        "op_src": [[x, i, w.port_ids[p]] for x, (_, xi, _) in ops for i, p in enumerate(xi)],
+        "op_tgt": [[x, j, w.port_ids[p]] for x, (_, _, xo) in ops for j, p in enumerate(xo)],
+        "in_tgt": [w.port_ids[p] for p in w.inputs],
+        "out_src": [w.port_ids[p] for p in w.outputs],
     }
+
+
+def _create(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _create(out) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -235,6 +242,8 @@ def _parse_input_spec(spec: str) -> tuple[float, ...]:
 
 
 def _cmd_eval(args) -> int:
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be at least 0, got {args.budget}")
     doc = _load(args.file)
     net = doc.net(args.net)
     report = validate(net, doc.signature)
@@ -280,14 +289,14 @@ def _cmd_simulate(args) -> int:
                                it_interpretation)
 
     if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        for d in cfg.schedule.deltas:
-            period = SamplingPeriod(d, cfg.tmax)
-            ins = [sample(f, period) for f in cfg.inputs]
-            outs = denote_it(net, it_interpretation(d), ins, period)
+        try:
+            os.makedirs(args.trace_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {args.trace_dir}: {exc}") from None
+        for d, outs in zip(cfg.schedule.deltas, indep.outputs):
             for idx, stream in enumerate(outs):
                 path = os.path.join(args.trace_dir, f"trace_out{idx}_delta{d}.csv")
-                with open(path, "w", encoding="utf-8") as handle:
+                with _create(path) as handle:
                     handle.write("t,value\n")
                     for k, v in enumerate(stream.values):
                         handle.write(f"{k * d},{v}\n")
@@ -318,6 +327,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be at least 0, got {args.count}")
     params = GenParams(seed=args.seed, signature=std_signature())
     axioms = [args.axiom] if args.axiom else list(ALL_AXIOMS)
     results = [run_suite(axiom, params, args.count) for axiom in axioms]

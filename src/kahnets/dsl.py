@@ -266,16 +266,14 @@ def parse_document(text: str) -> NetDocument:
 
 def net_to_def(net: Net, name: str) -> NetDef:
     """Render an in-memory net as a definition with generated names."""
-    ports = sorted(net.ports)
-    pname = {p: f"p{i}" for i, p in enumerate(ports)}
-    ops = []
-    for i, x in enumerate(net.operators):
-        ops.append(OpDef(f"x{i}", net.labels[x],
-                         tuple(pname[p] for p in net.op_inputs(x)),
-                         tuple(pname[p] for p in net.op_outputs(x))))
-    return NetDef(name, net.m, net.n, tuple(pname[p] for p in ports), tuple(ops),
-                  tuple(pname[net.tgt[k]] for k in range(net.m)),
-                  tuple(pname[net.src[k]] for k in range(net.n)))
+    w = net.wiring
+
+    def names(ports) -> tuple[str, ...]:
+        return tuple(f"p{p}" for p in ports)
+
+    ops = tuple(OpDef(f"x{x}", label, names(xi), names(xo)) for x, (label, xi, xo) in enumerate(w.ops))
+    return NetDef(name, net.m, net.n, names(range(len(w.port_ids))), ops,
+                  names(w.inputs), names(w.outputs))
 
 
 def format_document(doc: NetDocument) -> str:

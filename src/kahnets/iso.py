@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .nets import Net, Slot
+from .nets import Net, Slot, Wiring
 
 
 @dataclass(frozen=True)
@@ -67,94 +67,54 @@ def identity_iso(net: Net) -> NetIso:
 # Search
 # ---------------------------------------------------------------------------
 
-def _boundary_attachment(net: Net) -> dict[int, tuple]:
-    """For each port, the sorted tuple of boundary slots attached to it."""
-    att: dict[int, list] = {p: [] for p in net.ports}
-    for s, p in net.tgt.items():
-        if not isinstance(s, tuple):
-            att[p].append(("in", s))
-    for s, p in net.src.items():
-        if not isinstance(s, tuple):
-            att[p].append(("out", s))
-    return {p: tuple(sorted(v)) for p, v in att.items()}
-
-
-def _driver(net: Net) -> dict[int, Optional[tuple[int, int]]]:
-    drv: dict[int, Optional[tuple[int, int]]] = {p: None for p in net.ports}
-    for s, p in net.tgt.items():
-        if isinstance(s, tuple):
-            drv[p] = s
-    return drv
-
-
-def _readers(net: Net) -> dict[int, list[tuple[int, int]]]:
-    rdr: dict[int, list[tuple[int, int]]] = {p: [] for p in net.ports}
-    for s, p in net.src.items():
-        if isinstance(s, tuple):
-            rdr[p].append(s)
-    return rdr
-
-
-def _refine(a: Net, b: Net) -> Optional[tuple[dict[int, int], dict[int, int], dict[int, int], dict[int, int]]]:
+def _refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
     """Color ports and operators of both nets by iterated invariants.
 
-    Returns (port colors of a, of b, op colors of a, of b) or None when the
-    color histograms already rule out an isomorphism.
+    Returns (port colors of a, of b, op colors of a, of b), indexed by rank, or
+    None when the color histograms already rule out an isomorphism.
     """
-    att_a, att_b = _boundary_attachment(a), _boundary_attachment(b)
-    drv_a, drv_b = _driver(a), _driver(b)
-    rdr_a, rdr_b = _readers(a), _readers(b)
+    def canon(keys_a: list, keys_b: list) -> Optional[tuple[list[int], list[int]]]:
+        table = {key: i for i, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
+        ca, cb = [table[key] for key in keys_a], [table[key] for key in keys_b]
+        return (ca, cb) if sorted(ca) == sorted(cb) else None
 
-    def canon(values_a: dict, values_b: dict) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        table: dict[str, int] = {}
-        for key in sorted({repr(v) for v in values_a.values()} | {repr(v) for v in values_b.values()}):
-            table[key] = len(table)
-        ca = {k: table[repr(v)] for k, v in values_a.items()}
-        cb = {k: table[repr(v)] for k, v in values_b.items()}
-        hist_a = sorted(ca.values())
-        hist_b = sorted(cb.values())
-        if hist_a != hist_b:
-            return None
-        return ca, cb
+    def boundary(w: Wiring) -> list:
+        """Per port: the boundary input entering it (-1 if none), the outputs reading it."""
+        return [(d if d.__class__ is int else -1, tuple(r for r in rs if r.__class__ is int))
+                for d, rs in zip(w.driver, w.readers)]
 
-    start = canon(att_a, att_b)
-    if start is None:
+    def slot(s, oc: list[int]) -> tuple[int, ...]:
+        """A driver or reader slot by the color of its operator; () for no driver."""
+        return () if s is None else (s,) if s.__class__ is int else (oc[s[0]], s[1])
+
+    def op_keys(w: Wiring, pc: list[int]) -> list:
+        return [(lab, tuple(pc[p] for p in xi), tuple(pc[p] for p in xo)) for lab, xi, xo in w.ops]
+
+    def port_keys(w: Wiring, pc: list[int], oc: list[int]) -> list:
+        return [(c, slot(d, oc), tuple(sorted(slot(r, oc) for r in rs)))
+                for c, d, rs in zip(pc, w.driver, w.readers)]
+
+    res = canon(boundary(a), boundary(b))
+    if res is None:
         return None
-    pc_a, pc_b = start
-    oc_a = {x: 0 for x in a.labels}
-    oc_b = {x: 0 for x in b.labels}
-    res = canon({x: a.labels[x] for x in a.labels}, {x: b.labels[x] for x in b.labels})
+    pc_a, pc_b = res
+    res = canon([lab for lab, _, _ in a.ops], [lab for lab, _, _ in b.ops])
     if res is None:
         return None
     oc_a, oc_b = res
 
-    for _ in range(len(a.ports) + len(a.labels) + 2):
-        new_oc_raw_a = {x: (a.labels[x],
-                            tuple(pc_a[p] for p in a.op_inputs(x)),
-                            tuple(pc_a[p] for p in a.op_outputs(x))) for x in a.labels}
-        new_oc_raw_b = {x: (b.labels[x],
-                            tuple(pc_b[p] for p in b.op_inputs(x)),
-                            tuple(pc_b[p] for p in b.op_outputs(x))) for x in b.labels}
-        res = canon(new_oc_raw_a, new_oc_raw_b)
+    for _ in range(len(a.driver) + len(a.ops) + 2):
+        res = canon(op_keys(a, pc_a), op_keys(b, pc_b))
         if res is None:
             return None
         new_oc_a, new_oc_b = res
-
-        def port_sig(net: Net, p: int, att, drv, rdr, pc, oc):
-            d = drv[p]
-            driver = (oc[d[0]], d[1]) if d is not None else None
-            readers = tuple(sorted((oc[r[0]], r[1]) for r in rdr[p]))
-            return (att[p], pc[p], driver, readers)
-
-        new_pc_raw_a = {p: port_sig(a, p, att_a, drv_a, rdr_a, pc_a, new_oc_a) for p in a.ports}
-        new_pc_raw_b = {p: port_sig(b, p, att_b, drv_b, rdr_b, pc_b, new_oc_b) for p in b.ports}
-        res = canon(new_pc_raw_a, new_pc_raw_b)
+        res = canon(port_keys(a, pc_a, new_oc_a), port_keys(b, pc_b, new_oc_b))
         if res is None:
             return None
         new_pc_a, new_pc_b = res
 
-        stable = (len(set(new_pc_a.values())) == len(set(pc_a.values()))
-                  and len(set(new_oc_a.values())) == len(set(oc_a.values())))
+        stable = (len(set(new_pc_a)) == len(set(pc_a))
+                  and len(set(new_oc_a)) == len(set(oc_a)))
         pc_a, pc_b, oc_a, oc_b = new_pc_a, new_pc_b, new_oc_a, new_oc_b
         if stable:
             break
@@ -169,20 +129,19 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
         return None
     if sorted(a.labels.values()) != sorted(b.labels.values()):
         return None
+    wa, wb = a.wiring, b.wiring
 
-    # Boundary attachment forces part of the port bijection.
-    forced: dict[int, int] = {}
-    for k in range(a.m):
-        forced[a.tgt[k]] = b.tgt[k]
-    for k in range(a.n):
-        pa, pb = a.src[k], b.src[k]
+    # Boundary attachment forces part of the port bijection.  The search runs
+    # on ranks, which order ports and operators as their ids do.
+    forced: dict[int, int] = dict(zip(wa.inputs, wb.inputs))
+    for pa, pb in zip(wa.outputs, wb.outputs):
         if forced.get(pa, pb) != pb:
             return None
         forced[pa] = pb
     if len(set(forced.values())) != len(forced):
         return None
 
-    colors = _refine(a, b)
+    colors = _refine(wa, wb)
     if colors is None:
         return None
     pc_a, pc_b, oc_a, oc_b = colors
@@ -190,8 +149,9 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
         if pc_a[pa] != pc_b[pb]:
             return None
 
-    candidates = {x: sorted(y for y in b.labels if oc_b[y] == oc_a[x]) for x in a.labels}
-    order = sorted(a.labels, key=lambda x: (len(candidates[x]), x))
+    ops = range(len(wa.ops))
+    candidates = [[y for y in ops if oc_b[y] == oc_a[x]] for x in ops]
+    order = sorted(ops, key=lambda x: (len(candidates[x]), x))
 
     pmap: dict[int, int] = dict(forced)
     pused: set[int] = set(forced.values())
@@ -216,11 +176,12 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
         if i == len(order):
             return finish()
         x = order[i]
-        ain, aout = a.op_inputs(x), a.op_outputs(x)
+        _, ain, aout = wa.ops[x]
         for y in candidates[x]:
             if y in oused:
                 continue
-            pairs = list(zip(ain, b.op_inputs(y))) + list(zip(aout, b.op_outputs(y)))
+            _, bin_, bout = wb.ops[y]
+            pairs = list(zip(ain, bin_)) + list(zip(aout, bout))
             undo: list[int] = []
             if bind_ports(pairs, undo):
                 omap[x] = y
@@ -235,13 +196,14 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
 
     def finish() -> bool:
         # Ports left over are attached to nothing; pair them up within classes.
-        rest_a = sorted(p for p in a.ports if p not in pmap)
-        rest_b = sorted(p for p in b.ports if p not in pused)
         by_color: dict[int, list[int]] = {}
-        for p in rest_b:
-            by_color.setdefault(pc_b[p], []).append(p)
+        for p in range(len(wb.driver)):
+            if p not in pused:
+                by_color.setdefault(pc_b[p], []).append(p)
         undo: list[int] = []
-        for p in rest_a:
+        for p in range(len(wa.driver)):
+            if p in pmap:
+                continue
             bucket = by_color.get(pc_a[p])
             if not bucket:
                 for q in undo:
@@ -255,7 +217,8 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
 
     if not solve(0):
         return None
-    iso = NetIso(pmap, omap)
+    iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
+                 {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
     if not iso.verify(a, b):  # defensive: search invariants should guarantee this
         raise RuntimeError("internal error: candidate isomorphism failed verification")
     return iso

@@ -40,7 +40,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, MissingBinding, MonotonicityViolation
-from .nets import Net, compose, tensor, trace
+from .nets import Net, Wiring, compose, tensor, trace
 
 Stream = tuple[float, ...]
 BOT: Stream = ()
@@ -168,23 +168,22 @@ class DenoteStats:
     total_lengths: tuple[int, ...]  # summed defined length after each sweep
 
 
-def _components(ins: Mapping[int, Sequence[int]],
-                outs: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
-    """The strongly connected components of the operator graph given by each
-    operator's input and output ports, in topological order (iterative
-    Tarjan, so deep nets hit no recursion limit)."""
-    driver = {p: x for x in outs for p in outs[x]}
-    succ: dict[int, list[int]] = {x: [] for x in outs}
-    for y in ins:
-        for p in ins[y]:
-            if p in driver:
-                succ[driver[p]].append(y)
+def _components(w: Wiring) -> list[tuple[int, ...]]:
+    """The strongly connected components of the operator graph (``y`` after
+    ``x`` when ``y`` reads a port ``x`` drives), as operator ranks in
+    topological order (iterative Tarjan, so deep nets hit no recursion limit)."""
+    succ: list[list[int]] = [[] for _ in w.ops]
+    for y, (_, xi, _) in enumerate(w.ops):
+        for p in xi:
+            d = w.driver[p]
+            if d.__class__ is tuple:
+                succ[d[0]].append(y)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
     on_stack: set[int] = set()
     comps: list[tuple[int, ...]] = []
-    for root in outs:
+    for root in range(len(w.ops)):
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -242,29 +241,25 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     if len(inputs) != net.m:
         raise ArityMismatch(f"net takes {net.m} inputs, got {len(inputs)}")
 
-    fns: dict[int, StreamFn] = {}
-    ins: dict[int, tuple[int, ...]] = {}
-    outs: dict[int, tuple[int, ...]] = {}
-    readers: dict[int, list[int]] = defaultdict(list)
-    for x in net.operators:
-        f = interp[net.labels[x]]
-        ins[x], outs[x] = net.op_inputs(x), net.op_outputs(x)
-        if f.ins != len(ins[x]) or f.outs != len(outs[x]):
+    w = net.wiring
+    fns: list[StreamFn] = []
+    for x, (label, xi, xo) in enumerate(w.ops):
+        f = interp[label]
+        if f.ins != len(xi) or f.outs != len(xo):
             raise ArityMismatch(
-                f"binding for {net.labels[x]!r} has arity {f.ins}->{f.outs}, "
-                f"operator {x} has {len(ins[x])}->{len(outs[x])}")
-        fns[x] = f
-        for p in ins[x]:
-            readers[p].append(x)
+                f"binding for {label!r} has arity {f.ins}->{f.outs}, "
+                f"operator {w.op_ids[x]} has {len(xi)}->{len(xo)}")
+        fns.append(f)
+    readers = [[s[0] for s in rs if s.__class__ is tuple] for rs in w.readers]
 
     # Each port's prefix is one list, extended in place, so an operator's
     # argument and result lists can be gathered once.
-    vals: dict[int, list[float]] = {p: [] for p in net.ports}
-    for k in range(net.m):
-        vals[net.tgt[k]] = list(as_stream(inputs[k])[:max_len])
-    args = {x: tuple(vals[p] for p in ins[x]) for x in fns}
-    dests = {x: tuple(vals[p] for p in outs[x]) for x in fns}
-    base = sum(len(v) for v in vals.values())
+    vals: list[list[float]] = [[] for _ in w.driver]
+    for k, p in enumerate(w.inputs):
+        vals[p] = list(as_stream(inputs[k])[:max_len])
+    args = [tuple(vals[p] for p in xi) for _, xi, _ in w.ops]
+    dests = [tuple(vals[p] for p in xo) for _, _, xo in w.ops]
+    base = sum(map(len, vals))
     growth: dict[int, int] = defaultdict(int)  # elements added in each sweep
     pending: set[int] = set()  # loop operators that may grow when the cut rises
 
@@ -278,13 +273,13 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
                                     f"declared {len(dest)}")
         else:
             new = []
-            for p, v, s in zip(outs[x], dest, f(tuple(map(tuple, args[x])), limit)):
+            for p, v, s in zip(w.ops[x][2], dest, f(tuple(map(tuple, args[x])), limit)):
                 if not is_prefix(tuple(v), s[:cap]):
                     raise MonotonicityViolation(
-                        f"binding for {net.labels[x]!r} retracted a prefix at port {p}")
+                        f"binding for {w.ops[x][0]!r} retracted a prefix at port {w.port_ids[p]}")
                 new.append(s[len(v):])
         grown = []
-        for p, v, s in zip(outs[x], dest, new):
+        for p, v, s in zip(w.ops[x][2], dest, new):
             if cap is not None and len(v) + len(s) > cap:
                 s = s[:cap - len(v)]
                 pending.add(x)
@@ -295,9 +290,9 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
         return grown
 
     last = 0  # the latest sweep in which any port grew
-    for comp in _components(ins, outs):
+    for comp in _components(w):
         x = comp[0]
-        if len(comp) == 1 and set(ins[x]).isdisjoint(outs[x]):
+        if len(comp) == 1 and set(w.ops[x][1]).isdisjoint(w.ops[x][2]):
             if fns[x].step is not None and fns[x].ins:
                 if budget >= 1 and fire(x, 1, max_len):
                     last = max(last, 1)
@@ -335,7 +330,7 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
             last = max(last, r)
 
     sweeps = max(0, min(budget, last + 1))
-    outputs = tuple(tuple(vals[net.src[k]]) for k in range(net.n))
+    outputs = tuple(tuple(vals[p]) for p in w.outputs)
     if return_stats:
         lengths = tuple(accumulate((growth[r] for r in range(1, sweeps + 1)), initial=base))
         return outputs, DenoteStats(sweeps, last < budget, lengths[1:])

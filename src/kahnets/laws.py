@@ -189,96 +189,76 @@ def _net(rng: random.Random, sig: Signature, m: int, n: int, *, ops: int = 4,
     return gen_net(rng, sig, m, n, max_ops=ops, allow_undriven=undriven, allow_loops=loops)
 
 
-def _instance(axiom: str, rng: random.Random, sig: Signature) -> CheckResult:
-    a, b = rng.randint(0, 2), rng.randint(0, 2)
-    x, y = rng.randint(1, 2), rng.randint(1, 2)
-    if axiom == "vanishing":
-        return check_vanishing(_net(rng, sig, a + x + y, b + x + y), x, y)
-    if axiom == "superposing":
-        return check_superposing(_net(rng, sig, rng.randint(0, 2), rng.randint(0, 2)),
-                                 _net(rng, sig, a + x, b + x), x)
-    if axiom == "yanking":
-        return check_yanking(rng.randint(1, 3))
-    if axiom == "trace-naturality-left":
-        return check_trace_naturality_left(_net(rng, sig, rng.randint(0, 2), a),
-                                           _net(rng, sig, a + x, b + x), x)
-    if axiom == "trace-naturality-right":
-        return check_trace_naturality_right(_net(rng, sig, a + x, b + x),
-                                            _net(rng, sig, b, rng.randint(0, 2)), x)
-    if axiom == "sliding":
-        return check_sliding(_net(rng, sig, a + x, b + y), _net(rng, sig, y, x))
-    if axiom == "compose-assoc":
-        k1, k2 = rng.randint(0, 2), rng.randint(0, 2)
-        return check_compose_assoc(_net(rng, sig, a, k1), _net(rng, sig, k1, k2),
-                                   _net(rng, sig, k2, b))
-    if axiom == "compose-unit":
-        return check_compose_unit(_net(rng, sig, a, b))
-    if axiom == "tensor-assoc":
-        return check_tensor_assoc(_net(rng, sig, a, b), _net(rng, sig, x, y),
-                                  _net(rng, sig, rng.randint(0, 2), rng.randint(0, 2)))
-    if axiom == "tensor-unit":
-        return check_tensor_unit(_net(rng, sig, a, b))
-    if axiom == "interchange":
-        k1, k2 = rng.randint(0, 2), rng.randint(0, 2)
-        return check_interchange(_net(rng, sig, a, k1), _net(rng, sig, b, k2),
-                                 _net(rng, sig, k1, x), _net(rng, sig, k2, y))
-    if axiom == "symmetry-involution":
-        return check_symmetry_involution(a, b)
-    if axiom == "symmetry-naturality":
-        return check_symmetry_naturality(_net(rng, sig, a, x), _net(rng, sig, b, y))
+def _widened(draw):
+    """``draw`` given two more widths in 0..2, drawn before any of its nets."""
+    return lambda r, s, a, b, x, y: draw(r, s, a, b, x, y, r.randint(0, 2), r.randint(0, 2))
+
+
+def _total(r: random.Random, s: Signature, m: int, n: int) -> Net:
     # Product laws live in the quotient category; their instances avoid
     # undriven ports and feedback loops, over which the rewriting quotient is
     # genuinely too coarse: two copies of a bottom source never share, a
     # duplicated loop has no syntactically equal inputs to start merging
     # from, and a dead loop keeps all of its own outputs read.  The recorded
     # counterexample tests pin these phenomena down.
-    if axiom == "pairing-left":
-        return check_pairing_left(_net(rng, sig, x, a, undriven=False, loops=False),
-                                  _net(rng, sig, x, b, undriven=False, loops=False))
-    if axiom == "pairing-right":
-        return check_pairing_right(_net(rng, sig, x, a, undriven=False, loops=False),
-                                   _net(rng, sig, x, b, undriven=False, loops=False))
-    if axiom == "pairing-projections":
-        return check_pairing_projections(a, b)
-    if axiom == "dup-naturality":
-        return check_dup_naturality(_net(rng, sig, x, a, undriven=False, loops=False))
-    if axiom == "dup-naturality-raw":
-        return check_dup_naturality(_net(rng, sig, x, a, undriven=False, loops=False), home="net")
-    if axiom == "erasure-naturality":
-        return check_erasure_naturality(_net(rng, sig, x, a, undriven=False, loops=False))
-    raise ValueError(f"unknown axiom {axiom!r}")
+    return _net(r, s, m, n, undriven=False, loops=False)
 
 
-_CHECKERS = {
-    "vanishing": check_vanishing,
-    "superposing": check_superposing,
-    "yanking": check_yanking,
-    "trace-naturality-left": check_trace_naturality_left,
-    "trace-naturality-right": check_trace_naturality_right,
-    "sliding": check_sliding,
-    "compose-assoc": check_compose_assoc,
-    "compose-unit": check_compose_unit,
-    "tensor-assoc": check_tensor_assoc,
-    "tensor-unit": check_tensor_unit,
-    "interchange": check_interchange,
-    "symmetry-involution": check_symmetry_involution,
-    "symmetry-naturality": check_symmetry_naturality,
-    "pairing-left": check_pairing_left,
-    "pairing-right": check_pairing_right,
-    "pairing-projections": check_pairing_projections,
-    "dup-naturality": check_dup_naturality,
-    "dup-naturality-raw": lambda f: check_dup_naturality(f, home="net"),
-    "erasure-naturality": check_erasure_naturality,
+#: Each law's checker, and how to draw its arguments from an rng and a
+#: signature after the widths ``a, b`` in 0..2 and ``x, y`` in 1..2.
+_LAWS = {
+    "vanishing": (check_vanishing, lambda r, s, a, b, x, y: (
+        _net(r, s, a + x + y, b + x + y), x, y)),
+    "superposing": (check_superposing, lambda r, s, a, b, x, y: (
+        _net(r, s, r.randint(0, 2), r.randint(0, 2)), _net(r, s, a + x, b + x), x)),
+    "yanking": (check_yanking, lambda r, s, a, b, x, y: (r.randint(1, 3),)),
+    "trace-naturality-left": (check_trace_naturality_left, lambda r, s, a, b, x, y: (
+        _net(r, s, r.randint(0, 2), a), _net(r, s, a + x, b + x), x)),
+    "trace-naturality-right": (check_trace_naturality_right, lambda r, s, a, b, x, y: (
+        _net(r, s, a + x, b + x), _net(r, s, b, r.randint(0, 2)), x)),
+    "sliding": (check_sliding, lambda r, s, a, b, x, y: (
+        _net(r, s, a + x, b + y), _net(r, s, y, x))),
+    "compose-assoc": (check_compose_assoc, _widened(lambda r, s, a, b, x, y, k1, k2: (
+        _net(r, s, a, k1), _net(r, s, k1, k2), _net(r, s, k2, b)))),
+    "compose-unit": (check_compose_unit, lambda r, s, a, b, x, y: (_net(r, s, a, b),)),
+    "tensor-assoc": (check_tensor_assoc, lambda r, s, a, b, x, y: (
+        _net(r, s, a, b), _net(r, s, x, y), _net(r, s, r.randint(0, 2), r.randint(0, 2)))),
+    "tensor-unit": (check_tensor_unit, lambda r, s, a, b, x, y: (_net(r, s, a, b),)),
+    "interchange": (check_interchange, _widened(lambda r, s, a, b, x, y, k1, k2: (
+        _net(r, s, a, k1), _net(r, s, b, k2), _net(r, s, k1, x), _net(r, s, k2, y)))),
+    "symmetry-involution": (check_symmetry_involution, lambda r, s, a, b, x, y: (a, b)),
+    "symmetry-naturality": (check_symmetry_naturality, lambda r, s, a, b, x, y: (
+        _net(r, s, a, x), _net(r, s, b, y))),
+    "pairing-left": (check_pairing_left, lambda r, s, a, b, x, y: (
+        _total(r, s, x, a), _total(r, s, x, b))),
+    "pairing-right": (check_pairing_right, lambda r, s, a, b, x, y: (
+        _total(r, s, x, a), _total(r, s, x, b))),
+    "pairing-projections": (check_pairing_projections, lambda r, s, a, b, x, y: (a, b)),
+    "dup-naturality": (check_dup_naturality, lambda r, s, a, b, x, y: (_total(r, s, x, a),)),
+    "dup-naturality-raw": (lambda f: check_dup_naturality(f, home="net"),
+                           lambda r, s, a, b, x, y: (_total(r, s, x, a),)),
+    "erasure-naturality": (check_erasure_naturality, lambda r, s, a, b, x, y: (
+        _total(r, s, x, a),)),
 }
+
+
+def _law(axiom: str):
+    try:
+        return _LAWS[axiom]
+    except KeyError:
+        raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(sorted(_LAWS))}") from None
+
+
+def _instance(axiom: str, rng: random.Random, sig: Signature) -> CheckResult:
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    x, y = rng.randint(1, 2), rng.randint(1, 2)
+    check, draw = _law(axiom)
+    return check(*draw(rng, sig, a, b, x, y))
 
 
 def check_axiom(axiom: str, *args) -> CheckResult:
     """Check one named law on explicit arguments (nets and bundle widths)."""
-    try:
-        fn = _CHECKERS[axiom]
-    except KeyError:
-        raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(sorted(_CHECKERS))}") from None
-    return fn(*args)
+    return _law(axiom)[0](*args)
 
 
 TRACE_AXIOMS = ("vanishing", "superposing", "yanking")

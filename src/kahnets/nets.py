@@ -12,15 +12,26 @@ to the port that receives the j-th result.  ``tgt`` is injective over its whole
 domain: a port has at most one producer, but may fan out to any number of
 readers (including none).
 
-All construction functions return nets whose ports and operators are
-renumbered to ``0..k-1`` in a deterministic order, so results are reproducible
-bit-for-bit.  Nets are immutable; every operation builds a fresh net.
+The slot dicts are the net as given, and :func:`validate` checks only them.
+Everything else reads a valid net through ``Net.wiring``, a :class:`Wiring`
+that numbers operators and ports by rank (position in sorted order) and holds
+each operator's label, input ports and output ports, each port's driver slot
+and reader slots, and the ports of the boundary inputs and outputs.  It is
+computed once per net: the constructions below record it as they build a
+net, and any other net groups its slot dicts into it on first use.
+
+All construction functions return dense nets, whose ports and operators are
+numbered ``0..k-1`` in a deterministic order, so results are reproducible
+bit-for-bit and their ranks are their ids.  Nets are immutable; every
+operation builds a fresh net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from functools import cached_property
+from itertools import chain
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityMismatch, ArityTooSmall, UnknownKind, UnknownSymbol
 
@@ -97,23 +108,39 @@ class Net:
     def operators(self) -> tuple[int, ...]:
         return tuple(sorted(self.labels))
 
+    @cached_property
+    def wiring(self) -> "Wiring":
+        """The wiring of this (valid) net, by operator and port rank.
+
+        Grouped from the slot dicts on first use, unless the construction that
+        built the net recorded it."""
+        op_ids, port_ids = tuple(sorted(self.labels)), tuple(sorted(self.ports))
+        op_rank = {x: r for r, x in enumerate(op_ids)}
+        port_rank = {p: r for r, p in enumerate(port_ids)}
+        ins: list[list[tuple[int, int]]] = [[] for _ in op_ids]
+        outs: list[list[tuple[int, int]]] = [[] for _ in op_ids]
+        for slots, side in ((self.src, ins), (self.tgt, outs)):
+            for s, p in slots.items():
+                if s.__class__ is tuple:
+                    side[op_rank[s[0]]].append((s[1], port_rank[p]))
+        ops = tuple((self.labels[x], tuple(p for _, p in sorted(i)), tuple(p for _, p in sorted(o)))
+                    for x, i, o in zip(op_ids, ins, outs))
+        return _make_wiring(ops, tuple(port_rank[self.tgt[k]] for k in range(self.m)),
+                            tuple(port_rank[self.src[k]] for k in range(self.n)), op_ids, port_ids)
+
     def op_arity(self, x: int) -> int:
-        i = 0
-        while (x, i) in self.src:
-            i += 1
-        return i
+        return len(self.op_inputs(x))
 
     def op_coarity(self, x: int) -> int:
-        j = 0
-        while (x, j) in self.tgt:
-            j += 1
-        return j
+        return len(self.op_outputs(x))
 
     def op_inputs(self, x: int) -> tuple[int, ...]:
-        return tuple(self.src[(x, i)] for i in range(self.op_arity(x)))
+        w = self.wiring
+        return tuple(w.port_ids[p] for p in w.ops[w.op_ids.index(x)][1])
 
     def op_outputs(self, x: int) -> tuple[int, ...]:
-        return tuple(self.tgt[(x, j)] for j in range(self.op_coarity(x)))
+        w = self.wiring
+        return tuple(w.port_ids[p] for p in w.ops[w.op_ids.index(x)][2])
 
     def in_port(self, k: int) -> int:
         return self.tgt[k]
@@ -131,6 +158,39 @@ class Net:
 
     def __repr__(self) -> str:
         return f"Net({self.m}->{self.n}, ports={len(self.ports)}, operators={len(self.labels)})"
+
+
+class Wiring(NamedTuple):
+    """A net's wiring, with operators and ports numbered by rank.
+
+    A slot here names its operator by rank; a boundary slot is its index, as
+    in ``src``/``tgt``.  ``op_ids``/``port_ids`` give the id of each rank.
+    """
+
+    ops: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]  # label, input and output ports
+    driver: tuple[Optional[Slot], ...]  # per port: the slot producing it, if any
+    readers: tuple[tuple[Slot, ...], ...]  # per port: operator slots by rank, then boundary outputs
+    inputs: tuple[int, ...]  # port each boundary input enters
+    outputs: tuple[int, ...]  # port each boundary output reads
+    op_ids: Sequence[int]
+    port_ids: Sequence[int]
+
+
+def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
+    """The wiring with these operators and boundary ports, adding each port's
+    driver and readers."""
+    driver: list[Optional[Slot]] = [None] * len(port_ids)
+    readers: list[list[Slot]] = [[] for _ in port_ids]
+    for x, (_, xi, xo) in enumerate(ops):
+        for i, p in enumerate(xi):
+            readers[p].append((x, i))
+        for j, p in enumerate(xo):
+            driver[p] = (x, j)
+    for k, p in enumerate(inputs):
+        driver[p] = k
+    for k, p in enumerate(outputs):
+        readers[p].append(k)
+    return Wiring(ops, tuple(driver), tuple(map(tuple, readers)), inputs, outputs, op_ids, port_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -233,82 +293,82 @@ def _require_valid_shapes(net: Net) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Canonical renumbering and quotients
+# Renumbering and quotients
 # ---------------------------------------------------------------------------
 
-class _DSU:
-    """Union-find over port identifiers (realizes the quotient relations)."""
+def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
+               outputs: Optional[Sequence[int]] = None,
+               glue: Iterable[tuple[int, int]] = (), drop: Collection[int] = ()) -> Net:
+    """The disjoint union of ``nets`` rebuilt densely, optionally rewired.
 
-    def __init__(self, items: Iterable[int]):
-        self.parent = {i: i for i in items}
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the smaller id as representative for deterministic output.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _rebuild(m: int, n: int, port_of: Mapping[int, int], labels: Mapping[int, str],
-             src: Mapping[Slot, int], tgt: Mapping[Slot, int],
-             extra_keep: Iterable[int] = ()) -> Net:
-    """Map port references through ``port_of`` and renumber everything densely.
-
-    Port classes that no slot of the result references are dropped unless
-    listed in ``extra_keep``.  Quotienting operations pass the ports that were
-    already unreferenced in their inputs as ``extra_keep``: the rule is that an
-    operation removes exactly the wiring it orphaned itself.  Feedback of an
-    identity wire would otherwise leave behind a floating port that nothing
-    can observe, breaking equations such as ``trace(identity(n1+n), n) = id``.
+    The union numbers operators and ports by rank, one net after the other;
+    ``inputs``, ``outputs``, ``glue`` and ``drop`` refer to that numbering.
+    The result keeps the union's operators except those in ``drop``, its
+    boundary inputs enter ``inputs`` and its outputs read ``outputs`` (by
+    default, those of the union in order), and the two ports of each ``glue``
+    pair become one.  Each class of glued ports is numbered by the order of its
+    smallest member.  A class that no slot of the result references is
+    dropped, unless one of its ports was referenced by no slot in its own net
+    either: an operation removes exactly the wiring it orphaned itself.
+    Feedback of an identity wire would otherwise leave behind a floating port
+    that nothing can observe, breaking equations such as
+    ``trace(identity(n1+n), n) = id``.
     """
-    new_src = {slot: port_of[p] for slot, p in src.items()}
-    new_tgt = {slot: port_of[p] for slot, p in tgt.items()}
-    kept = set(new_src.values()) | set(new_tgt.values())
-    kept.update(port_of[p] for p in extra_keep)
-    port_index = {p: i for i, p in enumerate(sorted(kept))}
-    op_index = {x: i for i, x in enumerate(sorted(labels))}
+    ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
+    keep: list[int] = []
+    union_in: list[int] = []
+    union_out: list[int] = []
+    base = 0
+    for net in nets:
+        w = net.wiring
+        shift = base.__add__
+        ops += (w.ops if not base else
+                [(lab, tuple(map(shift, xi)), tuple(map(shift, xo))) for lab, xi, xo in w.ops])
+        keep += [base + p for p, d in enumerate(w.driver) if d is None and not w.readers[p]]
+        union_in += map(shift, w.inputs)
+        union_out += map(shift, w.outputs)
+        base += len(w.driver)
+    inputs = union_in if inputs is None else inputs
+    outputs = union_out if outputs is None else outputs
+    if drop:
+        ops = [op for x, op in enumerate(ops) if x not in drop]
 
-    def reslot(slot: Slot) -> Slot:
-        return (op_index[slot[0]], slot[1]) if isinstance(slot, tuple) else slot
+    rep: dict[int, int] = {}  # union-find over glued ports; the smallest member is the root
 
-    net = Net(
-        m=m, n=n,
-        ports=frozenset(range(len(kept))),
-        labels={op_index[x]: lab for x, lab in labels.items()},
-        src={reslot(s): port_index[p] for s, p in new_src.items()},
-        tgt={reslot(s): port_index[p] for s, p in new_tgt.items()},
-    )
+    def find(p: int) -> int:
+        while p in rep:
+            p = rep[p]
+        return p
+
+    for p, q in glue:
+        p, q = find(p), find(q)
+        if p != q:
+            rep[max(p, q)] = min(p, q)
+    used = set(chain(inputs, outputs, keep, *(xi + xo for _, xi, xo in ops)))
+    number = {c: i for i, c in enumerate(sorted({find(p) for p in used} if rep else used))}
+    port = {p: number[find(p)] for p in used} if rep else number
+    new = port.__getitem__
+
+    return _dense([(lab, tuple(map(new, xi)), tuple(map(new, xo))) for lab, xi, xo in ops],
+                  tuple(map(new, inputs)), tuple(map(new, outputs)), len(number))
+
+
+def _dense(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], inputs: Iterable[int],
+           outputs: Iterable[int], size: int) -> Net:
+    """The dense net on ports ``0..size-1`` whose operator x is ``ops[x]`` =
+    (label, input ports, output ports), with boundary inputs entering
+    ``inputs`` and outputs reading ``outputs``.  The net's wiring is known
+    here already, so it is recorded rather than grouped again on first use."""
+    w = _make_wiring(tuple(ops), tuple(inputs), tuple(outputs), range(len(ops)), range(size))
+    src: dict[Slot, int] = {(x, i): p for x, (_, xi, _) in enumerate(w.ops) for i, p in enumerate(xi)}
+    src.update(enumerate(w.outputs))
+    tgt: dict[Slot, int] = {(x, j): p for x, (_, _, xo) in enumerate(w.ops) for j, p in enumerate(xo)}
+    tgt.update(enumerate(w.inputs))
+    net = Net(len(w.inputs), len(w.outputs), frozenset(w.port_ids),
+              {x: lab for x, (lab, _, _) in enumerate(w.ops)}, src, tgt)
+    net.__dict__["wiring"] = w
     _require_valid_shapes(net)
     return net
-
-
-def _unreferenced(net: Net) -> frozenset[int]:
-    return net.ports - net.read_ports() - net.driven_ports()
-
-
-def renumbered(net: Net) -> Net:
-    """The same net with ports/operators renamed to dense ranges (kept all)."""
-    port_index = {p: i for i, p in enumerate(sorted(net.ports))}
-    op_index = {x: i for i, x in enumerate(sorted(net.labels))}
-
-    def reslot(slot: Slot) -> Slot:
-        return (op_index[slot[0]], slot[1]) if isinstance(slot, tuple) else slot
-
-    return Net(net.m, net.n, frozenset(range(len(net.ports))),
-               {op_index[x]: lab for x, lab in net.labels.items()},
-               {reslot(s): port_index[p] for s, p in net.src.items()},
-               {reslot(s): port_index[p] for s, p in net.tgt.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +377,7 @@ def renumbered(net: Net) -> Net:
 
 def identity(n: int) -> Net:
     """The identity net: n ports wired straight through."""
-    rng = range(n)
-    return Net(n, n, frozenset(rng), {}, {k: k for k in rng}, {k: k for k in rng})
+    return _dense((), range(n), range(n), n)
 
 
 def generator(sig: Signature, name: str) -> Net:
@@ -328,38 +387,28 @@ def generator(sig: Signature, name: str) -> Net:
     drives ports arity..arity+coarity-1, which the boundary outputs read.
     """
     ar, co = sig._lookup(name)
-    src: dict[Slot, int] = {(0, i): i for i in range(ar)}
-    src.update({k: ar + k for k in range(co)})
-    tgt: dict[Slot, int] = {(0, j): ar + j for j in range(co)}
-    tgt.update({k: k for k in range(ar)})
-    return Net(ar, co, frozenset(range(ar + co)), {0: name}, src, tgt)
+    ins, outs = tuple(range(ar)), tuple(range(ar, ar + co))
+    return _dense(((name, ins, outs),), ins, outs, ar + co)
 
 
 def symmetry(m: int, n: int) -> Net:
     """The wire crossing m+n -> n+m."""
-    ports = range(m + n)
-    src: dict[Slot, int] = {k: m + k for k in range(n)}
-    src.update({n + j: j for j in range(m)})
-    return Net(m + n, n + m, frozenset(ports), {}, src, {k: k for k in ports})
+    return _dense((), range(m + n), [*range(m, m + n), *range(m)], m + n)
 
 
 def duplication(n: int) -> Net:
     """The fan-out net n -> 2n: both output groups read the same n ports."""
-    ports = range(n)
-    src: dict[Slot, int] = {k: k % n for k in range(2 * n)} if n else {}
-    return Net(n, 2 * n, frozenset(ports), {}, src, {k: k for k in ports})
+    return _dense((), range(n), [*range(n), *range(n)], n)
 
 
 def erasure(n: int) -> Net:
     """The discarding net n -> 0: inputs arrive and are read by nothing."""
-    ports = range(n)
-    return Net(n, 0, frozenset(ports), {}, {}, {k: k for k in ports})
+    return _dense((), range(n), (), n)
 
 
 def projection(m: int, n: int) -> Net:
     """The net m+n -> m keeping the first m wires and discarding the last n."""
-    ports = range(m + n)
-    return Net(m + n, m, frozenset(ports), {}, {k: k for k in range(m)}, {k: k for k in ports})
+    return _dense((), range(m + n), range(m), m + n)
 
 
 _STRUCTURAL = {
@@ -390,65 +439,14 @@ def compose(a: Net, b: Net) -> Net:
     """
     if a.n != b.m:
         raise ArityMismatch(f"compose: {a.n} outputs cannot feed {b.m} inputs")
-    a, b = renumbered(a), renumbered(b)
-    po, oo = len(a.ports), len(a.labels)  # offsets for b
-
-    dsu = _DSU(range(po + len(b.ports)))
-    for k in range(a.n):
-        dsu.union(a.src[k], b.tgt[k] + po)
-
-    labels = dict(a.labels)
-    labels.update({x + oo: lab for x, lab in b.labels.items()})
-
-    src: dict[Slot, int] = {}
-    tgt: dict[Slot, int] = {}
-    for (x, i), p in ((s, p) for s, p in a.src.items() if isinstance(s, tuple)):
-        src[(x, i)] = p
-    for (x, i), p in ((s, p) for s, p in b.src.items() if isinstance(s, tuple)):
-        src[(x + oo, i)] = p + po
-    for k in range(b.n):
-        src[k] = b.src[k] + po
-    for (x, j), p in ((s, p) for s, p in a.tgt.items() if isinstance(s, tuple)):
-        tgt[(x, j)] = p
-    for (x, j), p in ((s, p) for s, p in b.tgt.items() if isinstance(s, tuple)):
-        tgt[(x + oo, j)] = p + po
-    for k in range(a.m):
-        tgt[k] = a.tgt[k]
-
-    junk = set(_unreferenced(a)) | {p + po for p in _unreferenced(b)}
-    port_of = {p: dsu.find(p) for p in range(po + len(b.ports))}
-    return _rebuild(a.m, b.n, port_of, labels, src, tgt, extra_keep=junk)
+    wa, wb, po = a.wiring, b.wiring, len(a.ports)
+    return renumbered(a, b, inputs=wa.inputs, outputs=[p + po for p in wb.outputs],
+                      glue=zip(wa.outputs, [p + po for p in wb.inputs]))
 
 
 def tensor(a: Net, b: Net) -> Net:
     """Parallel (side-by-side) composition; b's boundary indices are offset."""
-    a, b = renumbered(a), renumbered(b)
-    po, oo = len(a.ports), len(a.labels)
-
-    labels = dict(a.labels)
-    labels.update({x + oo: lab for x, lab in b.labels.items()})
-
-    src: dict[Slot, int] = {}
-    tgt: dict[Slot, int] = {}
-    for s, p in a.src.items():
-        src[s] = p
-    for s, p in b.src.items():
-        if isinstance(s, tuple):
-            src[(s[0] + oo, s[1])] = p + po
-        else:
-            src[s + a.n] = p + po
-    for s, p in a.tgt.items():
-        tgt[s] = p
-    for s, p in b.tgt.items():
-        if isinstance(s, tuple):
-            tgt[(s[0] + oo, s[1])] = p + po
-        else:
-            tgt[s + a.m] = p + po
-
-    ports = frozenset(range(po + len(b.ports)))
-    net = Net(a.m + b.m, a.n + b.n, ports, labels, src, tgt)
-    _require_valid_shapes(net)
-    return net
+    return renumbered(a, b)
 
 
 def trace(net: Net, x: int) -> Net:
@@ -459,17 +457,6 @@ def trace(net: Net, x: int) -> Net:
     """
     if net.m < x or net.n < x:
         raise ArityTooSmall(f"trace over {x} needs arities >= {x}, got {net.m}->{net.n}")
-    net = renumbered(net)
-    n1, n2 = net.m - x, net.n - x
-
-    dsu = _DSU(net.ports)
-    for k in range(x):
-        dsu.union(net.src[n2 + k], net.tgt[n1 + k])
-
-    src: dict[Slot, int] = {s: p for s, p in net.src.items() if isinstance(s, tuple)}
-    src.update({k: net.src[k] for k in range(n2)})
-    tgt: dict[Slot, int] = {s: p for s, p in net.tgt.items() if isinstance(s, tuple)}
-    tgt.update({k: net.tgt[k] for k in range(n1)})
-
-    port_of = {p: dsu.find(p) for p in net.ports}
-    return _rebuild(n1, n2, port_of, net.labels, src, tgt, extra_keep=_unreferenced(net))
+    w, n1, n2 = net.wiring, net.m - x, net.n - x
+    return renumbered(net, inputs=w.inputs[:n1], outputs=w.outputs[:n2],
+                      glue=zip(w.outputs[n2:], w.inputs[n1:]))

@@ -232,6 +232,7 @@ class IndependenceReport:
 
     tol: float
     rows: tuple[ProbeRow, ...]
+    outputs: tuple[tuple[ItStream, ...], ...]  # the output streams of each period
 
     @property
     def max_spread(self) -> float:
@@ -266,7 +267,7 @@ def delta_independence(net: Net, ct_inputs: Sequence[CtFn], sched: DeltaSchedule
             lookup = dict(zip(sched.deltas, values))
             st = standard_part(lambda d: lookup[d], sched)
             rows.append(ProbeRow(out_idx, x, values, spread, st))
-    return IndependenceReport(sched.tol, tuple(rows))
+    return IndependenceReport(sched.tol, tuple(rows), tuple(map(tuple, per_delta)))
 
 
 # ---------------------------------------------------------------------------

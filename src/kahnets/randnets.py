@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .nets import Net, Signature, compose, generator, tensor, trace
+from .nets import Net, Signature, _dense, compose, generator, tensor, trace
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ def _wiring(rng: random.Random, m: int, n: int, allow_undriven: bool) -> Net:
     if allow_undriven and n > 0 and (m == 0 or rng.random() < 0.25):
         extra = rng.randint(1, 2) if m == 0 else 1
     total = m + extra
-    src = {k: rng.randrange(total) for k in range(n)} if n else {}
-    tgt = {k: k for k in range(m)}
-    return Net(m, n, frozenset(range(total)), {}, src, tgt)
+    return _dense((), range(m), [rng.randrange(total) for _ in range(n)], total)
 
 
 def _has_undriven(net: Net) -> bool:

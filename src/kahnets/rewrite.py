@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 
 from .errors import ArityMismatch, StaleRedex
 from .iso import NetIso, find_iso
-from .nets import Net, _DSU, _rebuild, renumbered
+from .nets import Net, renumbered
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ def _sharing_key(net: Net, x: int) -> tuple[str, tuple[int, ...]]:
 
 
 def _is_dead(net: Net, x: int) -> bool:
-    read = net.read_ports()
-    return all(p not in read for p in net.op_outputs(x))
+    w = net.wiring
+    return not any(w.readers[p] for p in w.ops[w.op_ids.index(x)][2])
 
 
 def redexes(net: Net) -> list[Redex]:
@@ -59,10 +59,7 @@ def redexes(net: Net) -> list[Redex]:
         for i, x in enumerate(members):
             for y in members[i + 1:]:
                 out.append(Redex.sharing(x, y))
-    read = net.read_ports()
-    for x in net.operators:
-        if all(p not in read for p in net.op_outputs(x)):
-            out.append(Redex.erasing(x))
+    out += [Redex.erasing(x) for x in net.operators if _is_dead(net, x)]
     return out
 
 
@@ -73,47 +70,22 @@ def apply_redex(net: Net, r: Redex) -> Net:
         if (x not in net.labels or y not in net.labels or x == y
                 or _sharing_key(net, x) != _sharing_key(net, y)):
             raise StaleRedex(f"sharing({x},{y}) does not match the net")
-        return _apply_sharing(net, x, y)
+        return _remove(net, y, merge_into=x)
     if r.kind == "erasing":
         (x,) = r.ops
         if x not in net.labels or not _is_dead(net, x):
             raise StaleRedex(f"erasing({x}) does not match the net")
-        return _apply_erasing(net, x)
+        return _remove(net, x)
     raise StaleRedex(f"unknown redex kind {r.kind!r}")
 
 
-def _apply_sharing(net: Net, x: int, y: int) -> Net:
-    # renumbered() renames sorted operator ids to their ranks; follow suit.
-    rank = {op: i for i, op in enumerate(net.operators)}
-    x, y = rank[x], rank[y]
-    net = renumbered(net)
-
-    dsu = _DSU(net.ports)
-    outs_x, outs_y = net.op_outputs(x), net.op_outputs(y)
-    for px, py in zip(outs_x, outs_y):
-        dsu.union(px, py)
-
-    labels = {op: lab for op, lab in net.labels.items() if op != y}
-    src = {s: p for s, p in net.src.items() if not (isinstance(s, tuple) and s[0] == y)}
-    tgt = {s: p for s, p in net.tgt.items() if not (isinstance(s, tuple) and s[0] == y)}
-
-    junk = net.ports - net.read_ports() - net.driven_ports()
-    port_of = {p: dsu.find(p) for p in net.ports}
-    return _rebuild(net.m, net.n, port_of, labels, src, tgt, extra_keep=junk)
-
-
-def _apply_erasing(net: Net, x: int) -> Net:
-    x = {op: i for i, op in enumerate(net.operators)}[x]
-    net = renumbered(net)
-    dead_ports = set(net.op_outputs(x))
-    labels = {op: lab for op, lab in net.labels.items() if op != x}
-    src = {s: p for s, p in net.src.items() if not (isinstance(s, tuple) and s[0] == x)}
-    tgt = {s: p for s, p in net.tgt.items()
-           if not (isinstance(s, tuple) and s[0] == x) and p not in dead_ports}
-
-    junk = net.ports - net.read_ports() - net.driven_ports()
-    port_of = {p: p for p in net.ports if p not in dead_ports}
-    return _rebuild(net.m, net.n, port_of, labels, src, tgt, extra_keep=junk)
+def _remove(net: Net, x: int, merge_into: Optional[int] = None) -> Net:
+    """The net without operator ``x``; with ``merge_into``, each output port of
+    ``x`` is glued to the same output port of that operator."""
+    w = net.wiring
+    x = w.op_ids.index(x)
+    glue = () if merge_into is None else zip(w.ops[w.op_ids.index(merge_into)][2], w.ops[x][2])
+    return renumbered(net, glue=glue, drop={x})
 
 
 # ---------------------------------------------------------------------------

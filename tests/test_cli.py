@@ -4,7 +4,11 @@ import json
 import math
 import os
 
+from kahnets import cli, nstime
 from kahnets.cli import main
+from kahnets.config import parse_config
+from kahnets.dsl import parse_document
+from kahnets.stdnets import it_interpretation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -145,6 +149,31 @@ class TestSimulate:
         head = (tmp_path / traces[0]).read_text().splitlines()
         assert head[0] == "t,value"
 
+    def test_trace_dir_evaluates_each_period_once(self, tmp_path, monkeypatch, capsys):
+        real = nstime.denote_it
+        periods = []
+
+        def counted(net, interp, inputs, period, *args, **kwargs):
+            periods.append(period)
+            return real(net, interp, inputs, period, *args, **kwargs)
+
+        for module in (nstime, cli):  # count calls from the CLI too, should it make any
+            monkeypatch.setattr(module, "denote_it", counted, raising=False)
+        assert main(["simulate", fx("integration.net"), "main",
+                     "--config", fx("sin01.cfg"), "--trace-dir", str(tmp_path)]) == 0
+        assert len(periods) == 4  # sin01.cfg has four periods
+        # Each trace file holds what evaluating its period on its own gives.
+        with open(fx("sin01.cfg"), encoding="utf-8") as handle:
+            cfg = parse_config(handle.read(), base_dir=FIXTURES)
+        with open(fx("integration.net"), encoding="utf-8") as handle:
+            net = parse_document(handle.read()).net("main")
+        for d in cfg.schedule.deltas:
+            period = nstime.SamplingPeriod(d, cfg.tmax)
+            (out,) = real(net, it_interpretation(d),
+                          [nstime.sample(f, period) for f in cfg.inputs], period)
+            expected = "t,value\n" + "".join(f"{k * d},{v}\n" for k, v in enumerate(out.values))
+            assert (tmp_path / f"trace_out0_delta{d}.csv").read_text() == expected
+
     def test_nonproductive_net_exits_three(self, tmp_path, capsys):
         doc = ("sig plus 2 1\n"
                "net n : 1 -> 1\n  ports p q\n  op x plus (p q) -> (q)\n"
@@ -179,6 +208,34 @@ class TestSimulate:
         assert "input.0" in line and "t=0.0" in line
 
 
+class TestBadArguments:
+    """Unusable arguments give one ``error config-error:`` line and exit 2."""
+
+    @staticmethod
+    def assert_config_error(capsys, argv):
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error config-error: ")
+
+    def test_eval_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        self.assert_config_error(capsys, ["eval", fx("running_sum.net"), "main", "--input", "1,2",
+                                          "--out", str(tmp_path / "file" / "out.csv")])
+
+    def test_simulate_trace_dir_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        self.assert_config_error(capsys, ["simulate", fx("integration.net"), "main",
+                                          "--config", fx("sin01.cfg"),
+                                          "--trace-dir", str(tmp_path / "file" / "traces")])
+
+    def test_negative_eval_budget(self, capsys):
+        self.assert_config_error(capsys, ["eval", fx("running_sum.net"), "main", "--input", "1,2",
+                                          "--budget", "-3"])
+
+    def test_negative_laws_count(self, capsys):
+        self.assert_config_error(capsys, ["laws", "--count", "-1"])
+
+
 class TestLaws:
     def test_single_axiom(self, capsys):
         assert main(["laws", "--seed", "5", "--count", "20", "--axiom", "yanking"]) == 0
@@ -200,6 +257,5 @@ class TestNormalize:
         path = tmp_path / "se.net"
         path.write_text(doc)
         assert main(["normalize", str(path), "a"]) == 0
-        from kahnets.dsl import parse_document
         out_doc = parse_document(capsys.readouterr().out)
         assert len(out_doc.net_def("a").ops) == 1

@@ -177,3 +177,31 @@ class TestIsoIsEquivalence:
             w2 = find_iso(a, b)
             assert w1 and w2
             assert w1.then(w2).verify(net, b)
+
+
+class TestWiring:
+    def test_recorded_view_matches_the_slot_dicts(self):
+        # A construction records its result's view; grouping the same slot
+        # dicts afresh must give the same one.
+        for seed in range(80):
+            net = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=8))
+            recorded = net.wiring
+            grouped = Net(net.m, net.n, net.ports, net.labels, net.src, net.tgt).wiring
+            assert recorded[:5] == grouped[:5]
+            assert tuple(recorded.op_ids) == grouped.op_ids == tuple(range(len(net.labels)))
+            assert tuple(recorded.port_ids) == grouped.port_ids == tuple(range(len(net.ports)))
+
+    def test_sparse_ids_go_by_rank(self):
+        net = Net(1, 1, {2, 7, 9}, {4: "beta"}, {(4, 0): 2, 0: 7}, {(4, 0): 7, (4, 1): 9, 0: 2})
+        w = net.wiring
+        assert w.ops == (("beta", (0,), (1, 2)),)
+        assert (w.inputs, w.outputs, w.op_ids, w.port_ids) == ((0,), (1,), (4,), (2, 7, 9))
+        assert w.driver == (0, (0, 0), (0, 1))
+        assert w.readers == (((0, 0),), (0,), ())
+        assert (net.op_inputs(4), net.op_outputs(4), net.op_arity(4), net.op_coarity(4)) == (
+            (2,), (7, 9), 1, 2)
+
+    def test_validate_does_not_build_the_view(self):
+        net = Net(1, 1, {0}, {0: "scale"}, {(0, 1): 0, 0: 0}, {0: 0})  # slot gap
+        assert not validate(net, STD_SIG).ok
+        assert "wiring" not in vars(net)
