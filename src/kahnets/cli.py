@@ -10,8 +10,8 @@ Subcommands::
     simulate FILE NET --config  run the sampled-time semantics over a schedule
     laws [--axiom NAME]         check algebraic laws on random nets
 
-Exit codes: 0 ok, 1 property/iso failure, 2 usage or file errors,
-3 evaluation errors.  Every error prints one machine-readable line
+Exit codes: 0 ok, 1 property/iso failure, 2 usage or file errors (an invalid
+net included), 3 evaluation errors.  Every error prints one machine-readable line
 ``error <code>: <message>`` on stderr (or a JSON object with ``--json``).
 When ``eval`` runs out of sweeps before its fixpoint, it still prints the
 outputs and exits 0, after one ``warning budget-exhausted: <message>`` line
@@ -136,6 +136,15 @@ def _load(path: str) -> NetDocument:
     return parse_document(text)
 
 
+def _valid_net(doc: NetDocument, name: str) -> Net:
+    """The document's net ``name``, which must pass :func:`validate`."""
+    net = doc.net(name)
+    report = validate(net, doc.signature)
+    if not report.ok:
+        raise DslSyntaxError(f"net {name!r} is invalid: {report.errors[0].message}")
+    return net
+
+
 def net_to_json(net: Net) -> dict:
     w = net.wiring
     ops = list(zip(w.op_ids, w.ops))
@@ -199,7 +208,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_normalize(args) -> int:
     doc = _load(args.file)
-    shared = normalize(doc.net(args.net))
+    shared = normalize(_valid_net(doc, args.net))
     if args.json:
         print(json.dumps({"net": net_to_json(shared.net), "steps": shared.steps}, indent=2))
     else:
@@ -210,7 +219,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_iso(args) -> int:
     doc = _load(args.file)
-    witness = find_iso(doc.net(args.net1), doc.net(args.net2))
+    witness = find_iso(_valid_net(doc, args.net1), _valid_net(doc, args.net2))
     if args.json:
         payload = {"isomorphic": witness is not None}
         if witness is not None:
@@ -224,7 +233,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_se_equiv(args) -> int:
     doc = _load(args.file)
-    witness = se_witness(doc.net(args.net1), doc.net(args.net2))
+    witness = se_witness(_valid_net(doc, args.net1), _valid_net(doc, args.net2))
     if args.json:
         print(json.dumps({"equivalent": witness is not None}, indent=2))
     else:
@@ -245,10 +254,7 @@ def _cmd_eval(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"--budget must be at least 0, got {args.budget}")
     doc = _load(args.file)
-    net = doc.net(args.net)
-    report = validate(net, doc.signature)
-    if not report.ok:
-        raise DslSyntaxError(f"net {args.net!r} is invalid: {report.errors[0].message}")
+    net = _valid_net(doc, args.net)
     inputs = [_parse_input_spec(spec) for spec in args.input]
     interp = std_interpretation(scale=args.scale, divc=args.divc)
     outputs, stats = denote(net, interp, inputs, budget=args.budget, return_stats=True)
@@ -272,10 +278,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = _load(args.file)
-    net = doc.net(args.net)
-    report = validate(net, doc.signature)
-    if not report.ok:
-        raise DslSyntaxError(f"net {args.net!r} is invalid: {report.errors[0].message}")
+    net = _valid_net(doc, args.net)
     try:
         with open(args.config, encoding="utf-8") as handle:
             text = handle.read()

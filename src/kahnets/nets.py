@@ -28,6 +28,7 @@ operation builds a fresh net.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -136,11 +137,11 @@ class Net:
 
     def op_inputs(self, x: int) -> tuple[int, ...]:
         w = self.wiring
-        return tuple(w.port_ids[p] for p in w.ops[w.op_ids.index(x)][1])
+        return tuple(w.port_ids[p] for p in w.ops[w.op_rank(x)][1])
 
     def op_outputs(self, x: int) -> tuple[int, ...]:
         w = self.wiring
-        return tuple(w.port_ids[p] for p in w.ops[w.op_ids.index(x)][2])
+        return tuple(w.port_ids[p] for p in w.ops[w.op_rank(x)][2])
 
     def in_port(self, k: int) -> int:
         return self.tgt[k]
@@ -174,6 +175,18 @@ class Wiring(NamedTuple):
     outputs: tuple[int, ...]  # port each boundary output reads
     op_ids: Sequence[int]
     port_ids: Sequence[int]
+
+    def op_rank(self, x: int) -> int:
+        """The rank of operator ``x``; ``ValueError`` if the net has no such
+        operator.  An id that sits at its own position (every id of a dense
+        net) is its rank; any other is found by bisection in ``op_ids``."""
+        ids = self.op_ids
+        if 0 <= x < len(ids) and ids[x] == x:
+            return x
+        r = bisect_left(ids, x)
+        if r == len(ids) or ids[r] != x:
+            raise ValueError(f"operator {x!r} is not in the net")
+        return r
 
 
 def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
@@ -337,7 +350,8 @@ def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
 
     def find(p: int) -> int:
         while p in rep:
-            p = rep[p]
+            q = rep[p]
+            rep[p] = p = rep.get(q, q)  # path halving
         return p
 
     for p, q in glue:

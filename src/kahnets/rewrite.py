@@ -10,6 +10,30 @@ Two rules, both strictly decreasing the operator count:
 
 Normal forms are nets with no duplicate (label, inputs) operator and no fully
 dead operator; they decide the congruence the rules generate.
+
+:func:`normalize` does not search for redexes step by step.  It finds the
+normal form in one pass over the wiring and one rebuild:
+
+1. *Sharing* is a congruence closure (Downey, Sethi and Tarjan's common
+   subexpression algorithm): a union-find over ports, a use-list of readers
+   per port class, and a table from (label, input classes) to operator.  Each
+   operator is keyed; when two keys collide the smaller operator survives,
+   the outputs of the pair are glued, the shorter use-list is merged into the
+   longer and its readers are keyed again.  This is the *least* congruence:
+   two copies of a feedback loop read different ports, so they are not
+   shared.
+2. *Erasing* counts the readers of each port class, removes the operators
+   whose output classes are all unread and decrements what they read,
+   cascading to the drivers of classes that fall to 0.  A dead loop reads its
+   own output, so it is not collected (this is not reachability).
+
+Erasing never creates a sharing redex, so sharing may saturate first.  The
+small-step strategy that takes the first redex each time does just that (it
+lists sharing redexes first), keeps the smaller operator of each shared pair
+and numbers a glued port class by its smallest member; so the result and its
+step count are that strategy's, slot for slot.  ``normalize(net, rng=...)``
+runs the small-step strategy itself with random redex choices, as the
+reference for the confluence tests.
 """
 
 from __future__ import annotations
@@ -20,7 +44,7 @@ from typing import Mapping, Optional
 
 from .errors import ArityMismatch, StaleRedex
 from .iso import NetIso, find_iso
-from .nets import Net, renumbered
+from .nets import Net, Wiring, renumbered
 
 
 @dataclass(frozen=True)
@@ -45,7 +69,7 @@ def _sharing_key(net: Net, x: int) -> tuple[str, tuple[int, ...]]:
 
 def _is_dead(net: Net, x: int) -> bool:
     w = net.wiring
-    return not any(w.readers[p] for p in w.ops[w.op_ids.index(x)][2])
+    return not any(w.readers[p] for p in w.ops[w.op_rank(x)][2])
 
 
 def redexes(net: Net) -> list[Redex]:
@@ -83,8 +107,8 @@ def _remove(net: Net, x: int, merge_into: Optional[int] = None) -> Net:
     """The net without operator ``x``; with ``merge_into``, each output port of
     ``x`` is glued to the same output port of that operator."""
     w = net.wiring
-    x = w.op_ids.index(x)
-    glue = () if merge_into is None else zip(w.ops[w.op_ids.index(merge_into)][2], w.ops[x][2])
+    x = w.op_rank(x)
+    glue = () if merge_into is None else zip(w.ops[w.op_rank(merge_into)][2], w.ops[x][2])
     return renumbered(net, glue=glue, drop={x})
 
 
@@ -126,24 +150,104 @@ def is_shared(net: Net) -> bool:
 def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
     """Rewrite to normal form.
 
-    The redex chosen at each step is the first in deterministic order, or a
-    random one when ``rng`` is supplied (used by the confluence tests; the
-    normal form is unique up to isomorphism either way).
+    By default the normal form is computed in one pass over the net's wiring
+    (see the module docstring) and built by one ``renumbered`` call; the
+    result and ``steps`` are those of taking the first redex in deterministic
+    order at each step.  With ``rng``, the small-step reference strategy runs
+    instead, taking a random redex at each step (used by the confluence tests;
+    the normal form is unique up to isomorphism either way).
     """
-    budget = len(net.labels)  # each step removes one operator
-    cur = net
-    steps = 0
-    while True:
-        rs = redexes(cur)
-        if not rs:
-            break
-        r = rs[0] if rng is None else rs[rng.randrange(len(rs))]
-        cur = apply_redex(cur, r)
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("rewriting exceeded its termination bound")
-    cur = renumbered(cur)
+    if rng is None:
+        glue, removed = _normal_form(net.wiring)
+        cur, steps = renumbered(net, glue=glue, drop=set(removed)), len(removed)
+    else:
+        cur, steps = net, 0
+        while rs := redexes(cur):
+            cur = apply_redex(cur, rs[rng.randrange(len(rs))])
+            steps += 1
+        cur = renumbered(cur)
     return SharedNet(cur, {x: _sharing_key(cur, x) for x in cur.operators}, steps)
+
+
+def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
+    """The port pairs to glue and the operators to remove, by rank, that take
+    the net with this wiring to its normal form."""
+    ops = w.ops
+    parent = list(range(len(w.driver)))  # union-find over ports
+
+    def find(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    # Sharing: congruence closure over (label, input classes) keys.
+    users: list[list[int]] = [[] for _ in parent]  # per class root: operators reading it
+    for x, (_, xi, _) in enumerate(ops):
+        for p in set(xi):
+            users[p].append(x)
+    alive = [True] * len(ops)
+    key: list[Optional[tuple]] = [None] * len(ops)
+    table: dict[tuple, int] = {}  # key -> the operator holding it
+    glue: list[tuple[int, int]] = []
+    removed: list[int] = []
+    work = list(reversed(range(len(ops))))  # popped in rank order
+    while work:
+        x = work.pop()
+        if not alive[x]:
+            continue
+        k = (ops[x][0], tuple(map(find, ops[x][1])))
+        if key[x] == k:
+            continue
+        if key[x] is not None:
+            del table[key[x]]  # a stale key names a non-root, so no fresh key meets it
+        y = table.setdefault(k, x)
+        key[x] = k
+        if y == x:
+            continue
+        keep, lose = min(x, y), max(x, y)
+        alive[lose] = False
+        removed.append(lose)
+        table[k] = keep
+        for p, q in zip(ops[keep][2], ops[lose][2]):
+            glue.append((p, q))
+            p, q = find(p), find(q)
+            if p != q:
+                if len(users[p]) < len(users[q]):
+                    p, q = q, p
+                parent[q] = p
+                users[p] += users[q]
+                work += users[q]  # their keys named q
+                users[q] = []
+
+    # Erasing: reader counts per class, cascading from the unread ones.
+    root = [find(p) for p in range(len(parent))]
+    count = [0] * len(parent)
+    driver: dict[int, int] = {}
+    for x, (_, xi, xo) in enumerate(ops):
+        if alive[x]:
+            for p in xi:
+                count[root[p]] += 1
+            for p in xo:
+                driver[root[p]] = x
+    for p in w.outputs:
+        count[root[p]] += 1
+
+    def dead(x: int) -> bool:
+        return not any(count[root[p]] for p in ops[x][2])
+
+    work = [x for x in range(len(ops)) if alive[x] and dead(x)]
+    while work:
+        x = work.pop()
+        alive[x] = False
+        removed.append(x)
+        for p in ops[x][1]:
+            c = root[p]
+            count[c] -= 1
+            if not count[c] and c in driver:
+                y = driver[c]
+                if alive[y] and dead(y):
+                    work.append(y)
+    return glue, removed
 
 
 def se_equivalent(a: Net, b: Net) -> bool:

@@ -1,8 +1,16 @@
 """The command-line interface: subcommands, exit codes, determinism, JSON."""
 
+import contextlib
+import glob
+import io
 import json
 import math
 import os
+import re
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahnets import cli, nstime
 from kahnets.cli import main
@@ -38,6 +46,32 @@ class TestCheck:
 
     def test_missing_file_exits_two(self):
         assert main(["check", fx("no_such_file.net")]) == 2
+
+
+class TestInvalidNets:
+    """Every command that reads a net validates it first."""
+
+    DOUBLE_PRODUCER = ("sig a 1 1\nnet n : 1 -> 1\n  ports p0 p1\n"
+                       "  op x0 a (p0) -> (p1)\n  op x1 a (p0) -> (p1)\n  in p0\n  out p1\n")
+
+    def test_rejected_by_every_command(self, tmp_path, capsys):
+        path = tmp_path / "bad.net"
+        path.write_text(self.DOUBLE_PRODUCER)
+        bad = str(path)
+        assert main(["check", bad]) == 1
+        assert "tgt-not-injective" in capsys.readouterr().out
+        for argv in (["normalize", bad, "n"], ["normalize", bad, "n", "--json"],
+                     ["iso", bad, "n", "n"], ["se-equiv", bad, "n", "n"],
+                     ["eval", bad, "n", "--input", "1,2"],
+                     ["simulate", bad, "n", "--config", fx("sin01.cfg")]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            if "--json" in argv:
+                assert json.loads(captured.err)["error"]["code"] == "syntax-error"
+            else:
+                (line,) = captured.err.splitlines()
+                assert line.startswith("error syntax-error: net 'n' is invalid: port ")
+            assert captured.out == ""
 
 
 class TestIso:
@@ -259,3 +293,73 @@ class TestNormalize:
         assert main(["normalize", str(path), "a"]) == 0
         out_doc = parse_document(capsys.readouterr().out)
         assert len(out_doc.net_def("a").ops) == 1
+
+
+FUZZ_FIXTURES = sorted(glob.glob(os.path.join(FIXTURES, "*.net")))
+FUZZ_TOKENS = ("(", ")", "->", ":", "#", "sig", "net", "ports", "op", "in", "out",
+               "0", "1", "2", "-1", "x0", "p0")
+ERROR_LINE = re.compile(r"error [a-z-]+: \S")
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture file and its text with a few tokens and lines inserted,
+    deleted or duplicated (each line keeps its indentation)."""
+    path = draw(st.sampled_from(FUZZ_FIXTURES))
+    with open(path, encoding="utf-8") as handle:
+        lines = [(line[:len(line) - len(line.lstrip())], line.split())
+                 for line in handle.read().splitlines()]
+    vocabulary = FUZZ_TOKENS + tuple(t for _, tokens in lines for t in tokens)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lead, tokens = lines[i][0], list(lines[i][1])
+        kind = draw(st.sampled_from(("delete-line", "duplicate-line", "insert-token",
+                                     "delete-token", "duplicate-token")))
+        if kind == "delete-line":
+            if len(lines) > 1:
+                del lines[i]
+            continue
+        if kind == "duplicate-line":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            continue
+        if kind == "insert-token":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(vocabulary)))
+        elif tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            if kind == "delete-token":
+                del tokens[j]
+            else:
+                tokens.insert(j, tokens[j])
+        lines[i] = (lead, tokens)
+    return path, "\n".join(lead + " ".join(tokens) for lead, tokens in lines) + "\n"
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutated_fixture())
+def test_fuzzed_documents_keep_the_error_contract(case):
+    """Damaged input never escapes as an exception: a command exits 0 or 1, or
+    2 or 3 with exactly one ``error <code>: ...`` line on stderr."""
+    path, text = case
+    with open(path, encoding="utf-8") as handle:
+        original = parse_document(handle.read()).nets[0]
+    name, inputs = original.name, ["--input", "1,2,3"] * len(original.inputs)
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = os.path.join(tmp, "fuzzed.net")
+        with open(fuzzed, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in (["check", fuzzed], ["normalize", fuzzed, name], ["iso", fuzzed, name, name],
+                     ["eval", fuzzed, name, "--budget", "20", *inputs]):
+            code, err = run_quietly(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code in (2, 3):
+                (line,) = err.splitlines()
+                assert ERROR_LINE.match(line), (argv, line)
+            else:
+                assert not any(line.startswith("error") for line in err.splitlines()), argv

@@ -201,6 +201,32 @@ class TestWiring:
         assert (net.op_inputs(4), net.op_outputs(4), net.op_arity(4), net.op_coarity(4)) == (
             (2,), (7, 9), 1, 2)
 
+    def test_sparse_operator_lookups(self):
+        # A chain of scale operators with ids 7, 14, 21, ... and ports 0, 3, 6, ...
+        k = 50
+        net = Net(1, 1, {3 * p for p in range(k + 1)}, {7 * x: "scale" for x in range(1, k + 1)},
+                  {**{(7 * x, 0): 3 * (x - 1) for x in range(1, k + 1)}, 0: 3 * k},
+                  {**{(7 * x, 0): 3 * x for x in range(1, k + 1)}, 0: 0})
+        w = net.wiring
+        for x in range(1, k + 1):
+            assert w.op_rank(7 * x) == x - 1
+            assert (net.op_inputs(7 * x), net.op_outputs(7 * x)) == ((3 * x - 3,), (3 * x,))
+        # Ids 0, 1, 5: the first two sit at their own rank, the last does not.
+        net = Net(1, 1, {0, 1, 2, 3}, {0: "scale", 1: "scale", 5: "scale"},
+                  {(0, 0): 0, (1, 0): 1, (5, 0): 2, 0: 3}, {(0, 0): 1, (1, 0): 2, (5, 0): 3, 0: 0})
+        assert [net.wiring.op_rank(x) for x in (0, 1, 5)] == [0, 1, 2]
+        assert [net.op_inputs(x) for x in (0, 1, 5)] == [(0,), (1,), (2,)]
+        with pytest.raises(ValueError):
+            net.op_inputs(2)
+
+    def test_unknown_operator_id(self):
+        net = Net(1, 1, {2, 7, 9}, {4: "beta"}, {(4, 0): 2, 0: 7}, {(4, 0): 7, (4, 1): 9, 0: 2})
+        dense = identity(1)
+        for x in (0, 3, 5, 100):
+            for query in (net.op_inputs, net.op_outputs, net.wiring.op_rank, dense.op_inputs):
+                with pytest.raises(ValueError):
+                    query(x)
+
     def test_validate_does_not_build_the_view(self):
         net = Net(1, 1, {0}, {0: "scale"}, {(0, 1): 0, 0: 0}, {0: 0})  # slot gap
         assert not validate(net, STD_SIG).ok

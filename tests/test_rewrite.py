@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from test_golden import sparse
 
 from kahnets import (ArityMismatch, GenParams, Net, Redex, StaleRedex,
                      apply_redex, compose, duplication, erasure, find_iso,
                      gen_random_net, generator, identity, is_shared, normalize,
-                     projection, redexes, se_equivalent, symmetry, tensor, trace)
+                     projection, redexes, rewrite, se_equivalent, symmetry, tensor, trace)
+from kahnets.nets import renumbered
 from kahnets.stdnets import STD_SIG, build
 
 
@@ -23,6 +25,13 @@ def shared_alpha_fanout() -> Net:
     return Net(1, 2, frozenset({0, 1}), {0: "alpha"},
                {(0, 0): 0, (0, 1): 0, 0: 1, 1: 1},
                {(0, 0): 1, 0: 0})
+
+
+def scale_fanout(k: int) -> Net:
+    """1 -> k: the input fans out into k scale operators, one per output."""
+    return Net(1, k, frozenset(range(k + 1)), dict.fromkeys(range(k), "scale"),
+               {**{(x, 0): 0 for x in range(k)}, **{x: x + 1 for x in range(k)}},
+               {**{(x, 0): x + 1 for x in range(k)}, 0: 0})
 
 
 def dead_alpha() -> Net:
@@ -163,3 +172,99 @@ class TestQuotientLimits:
     def test_dead_loops_are_not_collected(self):
         looped_away = compose(build("constant"), erasure(1))  # 0 -> 0 with a live loop
         assert not se_equivalent(looped_away, identity(0))
+
+
+SYMBOLS = {**STD_SIG.symbols, "k": (0, 1), "sink": (1, 0)}
+
+
+def crowded_net(rng: random.Random, size: int) -> Net:
+    """A random net of ``size`` operators, half of whose inputs read the few
+    boundary and undriven ports, so that sharing cascades and erasing both
+    fire; the other inputs read any port, which makes loops and fan-out."""
+    m = rng.randint(0, 2)
+    ports = m + 1  # the boundary inputs and one undriven port
+    labels = {x: rng.choice(sorted(SYMBOLS)) for x in range(size)}
+    tgt: dict = dict(enumerate(range(m)))
+    for x, label in labels.items():
+        for j in range(SYMBOLS[label][1]):
+            tgt[x, j] = ports
+            ports += 1
+
+    def port() -> int:
+        return rng.randrange(m + 1) if rng.random() < 0.5 else rng.randrange(ports)
+
+    n = rng.randint(0, 3)
+    src: dict = {(x, i): port() for x, label in labels.items() for i in range(SYMBOLS[label][0])}
+    src.update((k, port()) for k in range(n))
+    return Net(m, n, frozenset(range(ports)), labels, src, tgt)
+
+
+def small_step(net: Net) -> tuple[Net, int]:
+    """The deterministic small-step strategy: the first redex each time."""
+    steps = 0
+    while rs := redexes(net):
+        net = apply_redex(net, rs[0])
+        steps += 1
+    return renumbered(net), steps
+
+
+class TestWorklistNormalize:
+    """The one-pass normaliser gives what the small-step strategy gives."""
+
+    @staticmethod
+    def assert_as_small_step(net: Net) -> None:
+        shared = normalize(net)
+        ref, steps = small_step(net)
+        assert ((shared.net.m, shared.net.n, shared.net.ports, shared.net.labels,
+                 shared.net.src, shared.net.tgt, shared.steps)
+                == (ref.m, ref.n, ref.ports, ref.labels, ref.src, ref.tgt, steps))
+
+    def test_random_nets_and_their_duplicates(self):
+        rng = random.Random(11)
+        for size in (6, 12, 24):
+            for seed in range(25):
+                for f in (gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=size)),
+                          crowded_net(random.Random(seed), size)):
+                    for net in (f, compose(duplication(f.m), tensor(f, f))):
+                        self.assert_as_small_step(net)
+                        self.assert_as_small_step(sparse(net, rng))
+
+    def test_class_absorbed_by_one_with_more_readers(self):
+        # Three scales share (operators 0, 1 and 7; operator x drives port
+        # x + 1): the classes of 0 and 1 merge first, and that class later
+        # merges into the class of 7, which has more readers.  The iota that
+        # read the class of 1 must then be keyed again to meet the iota of 7.
+        labels = dict(enumerate(["scale", "scale", "eps", "iota", "iota", "eps", "divc", "scale"]))
+        reads = [0, 0, 1, 2, 8, 8, 8, 0]
+        net = Net(1, 5, frozenset(range(9)), labels,
+                  {**{(x, 0): p for x, p in enumerate(reads)}, **{k: 3 + k for k in range(5)}},
+                  {**{(x, 0): x + 1 for x in range(8)}, 0: 0})
+        self.assert_as_small_step(net)
+        assert sorted(normalize(net).net.labels.values()) == ["divc", "eps", "iota", "scale"]
+
+    def test_quotient_limit_cases(self):
+        bottom = trace(duplication(1), 1)
+        cst = build("constant")
+        for net in (compose(bottom, duplication(1)), tensor(bottom, bottom),
+                    compose(cst, duplication(1)), tensor(cst, cst),
+                    compose(cst, erasure(1)), tensor(cst, dead_alpha())):
+            self.assert_as_small_step(net)
+
+    def test_one_rebuild(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return renumbered(*args, **kwargs)
+
+        monkeypatch.setattr(rewrite, "renumbered", counted)
+        for net in (scale_fanout(5), build("paper_example"), tensor(build("constant"), dead_alpha())):
+            calls.clear()
+            normalize(net)
+            assert len(calls) == 1
+
+    def test_wide_fanout(self):
+        # The small-step strategy would list and rebuild ~2,000 times here.
+        shared = normalize(scale_fanout(2000))
+        assert (len(shared.net.labels), shared.steps) == (1, 1999)
+        assert len(set(shared.net.wiring.outputs)) == 1
