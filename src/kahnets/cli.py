@@ -12,7 +12,8 @@ Subcommands::
 
 Exit codes: 0 ok, 1 property/iso failure, 2 usage or file errors (an invalid
 net included), 3 evaluation errors.  Every error prints one machine-readable line
-``error <code>: <message>`` on stderr (or a JSON object with ``--json``).
+``error <code>: <message>`` on stderr (or a JSON object with ``--json``); a
+usage error is ``error usage-error: <message>``.
 When ``eval`` runs out of sweeps before its fixpoint, it still prints the
 outputs and exits 0, after one ``warning budget-exhausted: <message>`` line
 on stderr.
@@ -21,6 +22,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,9 +54,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error usage-error: <message>`` line, exit 2.
+    ``add_subparsers`` makes the subcommand parsers of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error usage-error: {' '.join(message.split())}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kahnets", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    """The parser, built once per process.  Parsing leaves it unchanged: the
+    ``append`` action copies its default list before adding to it, and no
+    handler changes its arguments."""
+    parser = _ArgumentParser(prog="kahnets", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"kahnets {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

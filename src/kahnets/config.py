@@ -17,6 +17,7 @@ configured step halved four times is used.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -54,15 +55,15 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
 
         try:
             if key == "delta":
-                delta = float(value)
+                delta = _finite(value)
             elif key == "tmax":
-                tmax = float(value)
+                tmax = _finite(value)
             elif key == "tol":
-                tol = float(value)
+                tol = _finite(value)
             elif key == "schedule":
-                schedule = tuple(float(v) for v in value.split(","))
+                schedule = tuple(_finite(v) for v in value.split(","))
             elif key == "probes":
-                probes = tuple(float(v) for v in value.split(","))
+                probes = tuple(_finite(v) for v in value.split(","))
             elif key.startswith("input."):
                 index = int(key[len("input."):])
                 inputs[index] = _parse_input(key, value, base_dir, number)
@@ -88,6 +89,13 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return SimConfig(delta, tmax, sched, probes, tuple(ordered))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_input(key: str, value: str, base_dir: str, line: int) -> CtFn:

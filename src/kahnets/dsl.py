@@ -14,15 +14,20 @@ One item per line, ``#`` starts a comment::
 ``out`` the ports the boundary outputs read (length = codomain); both lines
 may be omitted when empty.  Parsing a printed document yields the same
 document, and printing is canonical.
+
+A parse error names its line and, where it concerns one token, that token's
+column.  Columns are computed only when an error is raised, by scanning the
+offending line again; a well-formed line is split into tokens once and
+accepted whole.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
-from .errors import ArityMismatch, DslSyntaxError, UndeclaredPort, UnknownSymbol
+from .errors import ArityMismatch, DslSyntaxError, KahnetsError, UndeclaredPort, UnknownSymbol
 from .nets import Net, Signature
 
 _TOKEN = re.compile(r"->|[():]|[A-Za-z_]\w*|\d+|\S")
@@ -83,68 +88,14 @@ class NetDocument:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _Line:
-    def __init__(self, number: int, text: str):
-        self.number = number
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self, expected: str = "token") -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            col = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-            raise DslSyntaxError(f"expected {expected}, found end of line",
-                                 line=self.number, col=col)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        tok, col = self.next(repr(literal))
-        if tok != literal:
-            raise DslSyntaxError(f"expected {literal!r}, found {tok!r}",
-                                 line=self.number, col=col)
-
-    def ident(self, what: str = "identifier") -> tuple[str, int]:
-        tok, col = self.next(what)
-        if not re.fullmatch(r"[A-Za-z_]\w*", tok):
-            raise DslSyntaxError(f"expected {what}, found {tok!r}", line=self.number, col=col)
-        return tok, col
-
-    def nat(self, what: str = "number") -> tuple[int, int]:
-        tok, col = self.next(what)
-        if not tok.isdigit():
-            raise DslSyntaxError(f"expected {what}, found {tok!r}", line=self.number, col=col)
-        return int(tok), col
-
-    def done(self) -> None:
-        if self.pos < len(self.tokens):
-            tok, col = self.tokens[self.pos]
-            raise DslSyntaxError(f"unexpected trailing {tok!r}", line=self.number, col=col)
-
-    def idents_until_end(self) -> list[tuple[str, int]]:
-        out = []
-        while self.peek() is not None:
-            out.append(self.ident("port name"))
-        return out
-
-    def paren_idents(self) -> list[tuple[str, int]]:
-        self.expect("(")
-        out = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise DslSyntaxError("unclosed '('", line=self.number,
-                                     col=self.tokens[-1][1])
-            if tok == ")":
-                self.next()
-                return out
-            out.append(self.ident("port name"))
+# Every token that starts with one of these is a whole ``[A-Za-z_]\w*`` match
+# of ``_TOKEN``, and every token that starts with a decimal digit a ``\d+`` one.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-class _NetBuilder:
+class _Net:
+    """A net block while its lines are read."""
+
     def __init__(self, name: str, m: int, n: int, line: int):
         self.name = name
         self.m = m
@@ -157,13 +108,7 @@ class _NetBuilder:
         self.inputs: Optional[list[str]] = None
         self.outputs: Optional[list[str]] = None
 
-    def check_port(self, name: str, line: int, col: int) -> str:
-        if name not in self.port_set:
-            raise UndeclaredPort(f"port {name!r} not declared in net {self.name!r}",
-                                 line=line, col=col)
-        return name
-
-    def finish(self, sig: Signature) -> NetDef:
+    def finish(self) -> NetDef:
         inputs = self.inputs or []
         outputs = self.outputs or []
         if len(inputs) != self.m:
@@ -179,85 +124,201 @@ class _NetBuilder:
 
 
 def parse_document(text: str) -> NetDocument:
+    """Read a document.  Each line is split into tokens once and accepted by
+    comparing slices of its token list against the shape of a well-formed
+    line; only a line that fails that comparison is walked token by token, by
+    :class:`_Line`, to report its first error."""
     symbols: dict[str, tuple[int, int]] = {}
     nets: list[NetDef] = []
-    current: Optional[_NetBuilder] = None
-
-    def close(builder: Optional[_NetBuilder]) -> None:
-        if builder is not None:
-            nets.append(builder.finish(Signature(symbols)))
+    current: Optional[_Net] = None
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        if not stripped.strip():
+        code = raw.partition("#")[0]
+        toks = _TOKEN.findall(code)
+        if not toks:
             continue
-        line = _Line(number, stripped)
-        keyword, kcol = line.next("keyword")
+        keyword = toks[0]
 
-        if keyword == "sig":
-            name, col = line.ident("symbol name")
-            if name in symbols:
-                raise DslSyntaxError(f"symbol {name!r} declared twice", line=number, col=col)
-            ar, _ = line.nat("arity")
-            co, _ = line.nat("coarity")
-            line.done()
-            symbols[name] = (ar, co)
+        if keyword in ("op", "ports", "in", "out"):
+            if current is None:
+                raise _Line(number, code, toks).error(
+                    DslSyntaxError, f"{keyword!r} outside of a net block", 0)
+            declared = current.port_set
+            if keyword == "op":
+                shape = symbols.get(toks[2]) if len(toks) > 2 else None
+                if shape is not None:
+                    ar, co = shape
+                    ins, outs = toks[4:4 + ar], toks[7 + ar:-1]
+                    if (len(toks) == 8 + ar + co
+                            and (toks[3], toks[4 + ar], toks[5 + ar], toks[6 + ar], toks[-1])
+                            == ("(", ")", "->", "(", ")")
+                            and toks[1][0] in _IDENT_START and toks[1] not in current.op_ids
+                            and declared.issuperset(ins) and declared.issuperset(outs)):
+                        current.op_ids.add(toks[1])
+                        current.ops.append(OpDef(toks[1], toks[2], tuple(ins), tuple(outs)))
+                        continue
+                _Line(number, code, toks).reject_op(current, symbols)
+            listed = toks[1:]
+            if keyword == "ports":
+                fresh = set(listed)
+                if (len(fresh) == len(listed) and fresh.isdisjoint(declared)
+                        and all(p[0] in _IDENT_START for p in listed)):
+                    current.ports += listed
+                    declared.update(fresh)
+                    continue
+                _Line(number, code, toks).reject_ports(declared)
+            if keyword == "in" and current.inputs is None and declared.issuperset(listed):
+                current.inputs = listed
+            elif keyword == "out" and current.outputs is None and declared.issuperset(listed):
+                current.outputs = listed
+            else:
+                _Line(number, code, toks).reject_boundary(current)
+
+        elif keyword == "sig":
+            if (len(toks) == 4 and toks[1][0] in _IDENT_START and toks[1] not in symbols
+                    and toks[2][0].isdecimal() and toks[3][0].isdecimal()):
+                symbols[toks[1]] = (int(toks[2]), int(toks[3]))
+                continue
+            _Line(number, code, toks).reject_sig(symbols)
 
         elif keyword == "net":
-            close(current)
-            name, _ = line.ident("net name")
-            line.expect(":")
-            m, _ = line.nat("input count")
-            line.expect("->")
-            n, _ = line.nat("output count")
-            line.done()
-            if any(nd.name == name for nd in nets):
-                raise DslSyntaxError(f"net {name!r} declared twice", line=number)
-            current = _NetBuilder(name, m, n, number)
-
-        elif keyword in ("ports", "op", "in", "out"):
-            if current is None:
-                raise DslSyntaxError(f"{keyword!r} outside of a net block", line=number, col=kcol)
-            if keyword == "ports":
-                for p, col in line.idents_until_end():
-                    if p in current.port_set:
-                        raise DslSyntaxError(f"port {p!r} declared twice", line=number, col=col)
-                    current.ports.append(p)
-                    current.port_set.add(p)
-            elif keyword == "op":
-                ident, col = line.ident("operator id")
-                if ident in current.op_ids:
-                    raise DslSyntaxError(f"operator {ident!r} declared twice", line=number, col=col)
-                sym, scol = line.ident("symbol name")
-                if sym not in symbols:
-                    raise UnknownSymbol(f"symbol {sym!r} not declared", line=number, col=scol)
-                ins = [current.check_port(p, number, c) for p, c in line.paren_idents()]
-                line.expect("->")
-                outs = [current.check_port(p, number, c) for p, c in line.paren_idents()]
-                line.done()
-                ar, co = symbols[sym]
-                if len(ins) != ar or len(outs) != co:
-                    raise ArityMismatch(
-                        f"operator {ident!r}: symbol {sym!r} is {ar}->{co}, "
-                        f"wired {len(ins)}->{len(outs)}", line=number, col=scol)
-                current.op_ids.add(ident)
-                current.ops.append(OpDef(ident, sym, tuple(ins), tuple(outs)))
-            elif keyword == "in":
-                if current.inputs is not None:
-                    raise DslSyntaxError("duplicate 'in' line", line=number, col=kcol)
-                current.inputs = [current.check_port(p, number, c)
-                                  for p, c in line.idents_until_end()]
-            else:
-                if current.outputs is not None:
-                    raise DslSyntaxError("duplicate 'out' line", line=number, col=kcol)
-                current.outputs = [current.check_port(p, number, c)
-                                   for p, c in line.idents_until_end()]
+            if current is not None:
+                nets.append(current.finish())
+            if not (len(toks) == 6 and toks[1][0] in _IDENT_START and toks[2] == ":"
+                    and toks[3][0].isdecimal() and toks[4] == "->" and toks[5][0].isdecimal()):
+                _Line(number, code, toks).reject_net()
+            if any(nd.name == toks[1] for nd in nets):
+                raise DslSyntaxError(f"net {toks[1]!r} declared twice", line=number)
+            current = _Net(toks[1], int(toks[3]), int(toks[5]), number)
 
         else:
-            raise DslSyntaxError(f"unknown keyword {keyword!r}", line=number, col=kcol)
+            raise _Line(number, code, toks).error(
+                DslSyntaxError, f"unknown keyword {keyword!r}", 0)
 
-    close(current)
+    if current is not None:
+        nets.append(current.finish())
     return NetDocument(Signature(symbols), tuple(nets))
+
+
+class _Line:
+    """A line that :func:`parse_document` did not accept, walked token by
+    token from the keyword on.  Each ``reject_*`` method raises the first
+    error of its kind of line; a token's column is found only then, by
+    scanning the line again."""
+
+    def __init__(self, number: int, text: str, tokens: list[str]):
+        self.number = number
+        self.text = text
+        self.tokens = tokens
+        self.pos = 1
+
+    def error(self, kind: type[KahnetsError], message: str, index: int) -> KahnetsError:
+        """``kind(message)`` located at token ``index``, or just past the last
+        token when ``index`` is the token count."""
+        starts = [m.start() + 1 for m in _TOKEN.finditer(self.text)]
+        if index < len(starts):
+            col = starts[index]
+        else:
+            col = starts[-1] + len(self.tokens[-1])
+        return kind(message, line=self.number, col=col)
+
+    def next(self, expected: str) -> tuple[str, int]:
+        if self.pos >= len(self.tokens):
+            raise self.error(DslSyntaxError, f"expected {expected}, found end of line", self.pos)
+        self.pos += 1
+        return self.tokens[self.pos - 1], self.pos - 1
+
+    def expect(self, literal: str) -> None:
+        tok, i = self.next(repr(literal))
+        if tok != literal:
+            raise self.error(DslSyntaxError, f"expected {literal!r}, found {tok!r}", i)
+
+    def ident(self, what: str) -> tuple[str, int]:
+        tok, i = self.next(what)
+        if tok[0] not in _IDENT_START:
+            raise self.error(DslSyntaxError, f"expected {what}, found {tok!r}", i)
+        return tok, i
+
+    def nat(self, what: str) -> None:
+        tok, i = self.next(what)
+        if not tok[0].isdecimal():
+            raise self.error(DslSyntaxError, f"expected {what}, found {tok!r}", i)
+
+    def done(self) -> None:
+        if self.pos < len(self.tokens):
+            raise self.error(DslSyntaxError, f"unexpected trailing {self.tokens[self.pos]!r}",
+                             self.pos)
+
+    def port_names(self) -> list[tuple[str, int]]:
+        """The rest of the line, which must be port names."""
+        return [self.ident("port name") for _ in range(self.pos, len(self.tokens))]
+
+    def paren_idents(self) -> list[tuple[str, int]]:
+        self.expect("(")
+        out = []
+        while self.pos < len(self.tokens) and self.tokens[self.pos] != ")":
+            out.append(self.ident("port name"))
+        if self.pos == len(self.tokens):
+            raise self.error(DslSyntaxError, "unclosed '('", len(self.tokens) - 1)
+        self.pos += 1
+        return out
+
+    def declared(self, net: _Net, ports: list[tuple[str, int]]) -> None:
+        for p, i in ports:
+            if p not in net.port_set:
+                raise self.error(UndeclaredPort, f"port {p!r} not declared in net {net.name!r}", i)
+
+    def unreachable(self) -> DslSyntaxError:
+        return DslSyntaxError("line rejected without a reason", line=self.number)
+
+    def reject_sig(self, symbols: dict[str, tuple[int, int]]) -> NoReturn:
+        name, i = self.ident("symbol name")
+        if name in symbols:
+            raise self.error(DslSyntaxError, f"symbol {name!r} declared twice", i)
+        self.nat("arity")
+        self.nat("coarity")
+        self.done()
+        raise self.unreachable()
+
+    def reject_net(self) -> NoReturn:
+        self.ident("net name")
+        self.expect(":")
+        self.nat("input count")
+        self.expect("->")
+        self.nat("output count")
+        self.done()
+        raise self.unreachable()
+
+    def reject_ports(self, declared: set[str]) -> NoReturn:
+        seen = set(declared)
+        for p, i in self.port_names():
+            if p in seen:
+                raise self.error(DslSyntaxError, f"port {p!r} declared twice", i)
+            seen.add(p)
+        raise self.unreachable()
+
+    def reject_boundary(self, net: _Net) -> NoReturn:
+        if (net.inputs if self.tokens[0] == "in" else net.outputs) is not None:
+            raise self.error(DslSyntaxError, f"duplicate {self.tokens[0]!r} line", 0)
+        self.declared(net, self.port_names())
+        raise self.unreachable()
+
+    def reject_op(self, net: _Net, symbols: dict[str, tuple[int, int]]) -> NoReturn:
+        ident, i = self.ident("operator id")
+        if ident in net.op_ids:
+            raise self.error(DslSyntaxError, f"operator {ident!r} declared twice", i)
+        sym, s = self.ident("symbol name")
+        if sym not in symbols:
+            raise self.error(UnknownSymbol, f"symbol {sym!r} not declared", s)
+        ins = self.paren_idents()
+        self.declared(net, ins)
+        self.expect("->")
+        outs = self.paren_idents()
+        self.declared(net, outs)
+        self.done()
+        ar, co = symbols[sym]
+        raise self.error(ArityMismatch, f"operator {ident!r}: symbol {sym!r} is {ar}->{co}, "
+                                        f"wired {len(ins)}->{len(outs)}", s)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ Grammar (recursive descent)::
     atom  := NUMBER | 't' | FUNC '(' expr ')' | '(' expr ')'
 
 with FUNC one of sin, cos, exp, abs.  ``parse_expr`` compiles the text to a
-plain float -> float function.
+plain float -> float function.  A run of ``+``/``-`` terms or ``*``/``/``
+factors compiles to one loop, left to right; each ``(``, function call or
+unary minus nests one level, and no expression may nest deeper than
+``MAX_NESTING`` levels, which bounds the recursion of parsing and of
+evaluation alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable
 
@@ -21,12 +26,37 @@ from .errors import ConfigError
 
 _TOKEN = re.compile(r"\s*(\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?|[A-Za-z_]\w*|[()+\-*/]|\S)")
 
+#: How deep parentheses, function calls and unary minus may nest: far deeper
+#: than hand-written expressions, and far within Python's recursion limit at
+#: five parser frames and at most three evaluation frames a level.
+MAX_NESTING = 100
+
+_BINARY: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
 _FUNCS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
     "abs": abs,
 }
+
+
+def _fold(first, rest):
+    """``first`` combined left to right with each ``(op, right)`` of ``rest``."""
+    if not rest:
+        return first
+
+    def fn(t: float) -> float:
+        acc = first(t)
+        for op, right in rest:
+            acc = op(acc, right(t))
+        return acc
+    return fn
 
 
 class _Parser:
@@ -42,6 +72,7 @@ class _Parser:
                 self.tokens.append((m.group(1), m.start(1) + 1))
             pos = m.end()
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ConfigError:
         col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text) + 1
@@ -58,27 +89,31 @@ class _Parser:
         return tok
 
     def expr(self) -> Callable[[float], float]:
-        left = self.term()
+        first, rest = self.term(), []
         while self.peek() in ("+", "-"):
-            op = self.take()
-            right = self.term()
-            left = (lambda l, r: lambda t: l(t) + r(t))(left, right) if op == "+" \
-                else (lambda l, r: lambda t: l(t) - r(t))(left, right)
-        return left
+            op = _BINARY[self.take()]
+            rest.append((op, self.term()))
+        return _fold(first, rest)
 
     def term(self) -> Callable[[float], float]:
-        left = self.unary()
+        first, rest = self.unary(), []
         while self.peek() in ("*", "/"):
-            op = self.take()
-            right = self.unary()
-            left = (lambda l, r: lambda t: l(t) * r(t))(left, right) if op == "*" \
-                else (lambda l, r: lambda t: l(t) / r(t))(left, right)
-        return left
+            op = _BINARY[self.take()]
+            rest.append((op, self.unary()))
+        return _fold(first, rest)
+
+    def nested(self, parse) -> Callable[[float], float]:
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
 
     def unary(self) -> Callable[[float], float]:
         if self.peek() == "-":
             self.take()
-            inner = self.unary()
+            inner = self.nested(self.unary)
             return lambda t: -inner(t)
         return self.atom()
 
@@ -88,7 +123,7 @@ class _Parser:
             raise self.error("unexpected end")
         if tok == "(":
             self.take()
-            inner = self.expr()
+            inner = self.nested(self.expr)
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.take()
@@ -105,7 +140,7 @@ class _Parser:
             if self.peek() != "(":
                 raise self.error(f"expected '(' after {tok}")
             self.take()
-            inner = self.expr()
+            inner = self.nested(self.expr)
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.take()

@@ -9,6 +9,7 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,6 +271,67 @@ class TestBadArguments:
         self.assert_config_error(capsys, ["laws", "--count", "-1"])
 
 
+class TestUsageErrors:
+    """argparse's usage errors are one ``error usage-error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "the following arguments are required: file, net"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        (["eval", "f.net", "main", "--budget", "abc"], "argument --budget: invalid int value: 'abc'"),
+    ], ids=["missing-positional", "unknown-subcommand", "bad-budget"])
+    def test_one_line_and_exit_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error usage-error: {message}")
+        assert captured.out == ""
+
+    def test_version_and_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and capsys.readouterr().out == f"kahnets {cli.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: kahnets eval ")
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        # Parsing does not leak one call's arguments into the next.
+        assert main(["eval", fx("running_sum.net"), "main", "--input", "1,2", "--json"]) == 0
+        assert main(["eval", fx("running_sum.net"), "main", "--input", "5", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["outputs"] for line in lines] == [[[1.0, 3.0]], [[5.0]]]
+
+
+class TestConfigValues:
+    """Config values that cannot describe a run are one ``error config-error:``
+    line, exit 2."""
+
+    @pytest.mark.parametrize("line", ["delta = nan", "tmax = inf", "tmax = -inf", "tol = nan",
+                                      "tol = inf", "schedule = 1e-2, nan, 1e-3",
+                                      "schedule = inf, 1e-2, 1e-3", "probes = nan",
+                                      "probes = 0.5, 1e309"])
+    def test_non_finite_values(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"delta = 0.01\ntmax = 0.5\ninput.0 = expr: t\n{line}\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error config-error: bad value for '{line.split()[0]}': ")
+        assert err.endswith("is not a finite number (line 4)")
+
+    @pytest.mark.parametrize("expr", ["(" * 5000 + "t" + ")" * 5000, "-" * 5000 + "t",
+                                      "sin(" * 5000 + "t" + ")" * 5000],
+                             ids=["parentheses", "minus-signs", "calls"])
+    def test_deeply_nested_input_expression(self, tmp_path, capsys, expr):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"delta = 0.01\ntmax = 0.5\ninput.0 = expr: {expr}\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error config-error: nesting deeper than 100 levels in expression ")
+
+
 class TestLaws:
     def test_single_axiom(self, capsys):
         assert main(["laws", "--seed", "5", "--count", "20", "--axiom", "yanking"]) == 0
@@ -363,3 +425,67 @@ def test_fuzzed_documents_keep_the_error_contract(case):
                 assert ERROR_LINE.match(line), (argv, line)
             else:
                 assert not any(line.startswith("error") for line in err.splitlines()), argv
+
+
+CONFIG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e309", "x", "=", ",", "expr:", "csv:", "1/t",
+                 "(" * 5000 + "t" + ")" * 5000, "-" * 5000 + "t")
+
+
+@st.composite
+def mutated_config(draw):
+    """``fixtures/sin01.cfg`` with one value (or one entry of a list) replaced
+    by one of ``CONFIG_VALUES``, then up to two lines or whitespace-separated
+    tokens inserted, deleted or duplicated."""
+    with open(fx("sin01.cfg"), encoding="utf-8") as handle:
+        lines = [line.split() for line in handle.read().splitlines()]
+    vocabulary = CONFIG_VALUES + tuple(t for tokens in lines for t in tokens)
+    i = draw(st.sampled_from([i for i, tokens in enumerate(lines) if "=" in tokens]))
+    first = lines[i].index("=") + 1
+    j = draw(st.integers(first, len(lines[i]) - 1))
+    comma = "," if lines[i][j].endswith(",") else ""
+    lines[i][j] = draw(st.sampled_from(CONFIG_VALUES)) + comma
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = list(lines[i])
+        kind = draw(st.sampled_from(("delete-line", "duplicate-line", "insert-token",
+                                     "delete-token", "duplicate-token")))
+        if kind == "delete-line":
+            if len(lines) > 1:
+                del lines[i]
+            continue
+        if kind == "duplicate-line":
+            lines.insert(draw(st.integers(0, len(lines))), tokens)
+            continue
+        if kind == "insert-token":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(vocabulary)))
+        elif tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            if kind == "delete-token":
+                del tokens[j]
+            else:
+                tokens.insert(j, tokens[j])
+        lines[i] = tokens
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mutated_config())
+def test_fuzzed_configs_keep_the_error_contract(text):
+    """Damaged ``simulate`` configs keep the contract of
+    ``test_fuzzed_documents_keep_the_error_contract``.
+
+    The values drawn include no large finite number: a huge but finite
+    ``tmax`` (or a tiny ``delta``) is a legitimately long run, not a contract
+    violation, so every window stays at most the fixture's 1.05 or is
+    rejected."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzzed.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, err = run_quietly(["simulate", fx("integration.net"), "main", "--config", cfg])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        (line,) = err.splitlines()
+        assert ERROR_LINE.match(line), line
+    else:
+        assert not any(line.startswith("error") for line in err.splitlines())

@@ -1,7 +1,11 @@
 """Text format round-trips, parse errors with locations, expressions, configs."""
 
+import glob
+import json
 import math
 import os
+import random
+import sys
 
 import pytest
 
@@ -9,11 +13,13 @@ from kahnets import (ArityMismatch, ConfigError, DslSyntaxError, GenParams,
                      UndeclaredPort, UnknownSymbol, find_iso, gen_random_net,
                      validate)
 from kahnets.config import parse_config
-from kahnets.dsl import format_document, net_to_def, parse_document, NetDocument
-from kahnets.exprs import parse_expr
+from kahnets.dsl import OpDef, format_document, net_to_def, parse_document, NetDocument
+from kahnets.errors import KahnetsError
+from kahnets.exprs import MAX_NESTING, parse_expr
 from kahnets.stdnets import STD_SIG, build
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+DSL_ERRORS = os.path.join(os.path.dirname(__file__), "golden", "dsl-errors.json")
 
 PAPER_DOC = """
 sig alpha 2 1
@@ -79,6 +85,12 @@ class TestParse:
         with pytest.raises(DslSyntaxError):
             parse_document("net n : 0 -> 0\n  ports a a\n")
 
+    def test_counts_are_decimal_digits(self):
+        assert parse_document("sig f \u0663 1\n").signature.symbols["f"] == (3, 1)
+        with pytest.raises(DslSyntaxError) as err:
+            parse_document("sig f \u00b2 1\n")  # a digit, but not a decimal one
+        assert err.value.format() == "syntax-error: expected arity, found '\u00b2' (line 1, col 7)"
+
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_document("# header\n\nsig iota 1 1  # trailing\n")
         assert "iota" in doc.signature
@@ -98,6 +110,22 @@ class TestRoundTrip:
     def test_printing_is_canonical(self):
         doc = parse_document(PAPER_DOC)
         assert format_document(parse_document(format_document(doc))) == format_document(doc)
+
+    def test_thousand_operator_document(self):
+        ports = [f"p{k}" for k in range(1002)]
+        lines = ["sig plus 2 1", "sig iota 1 1", "", "net big : 2 -> 1",
+                 "  ports " + " ".join(ports)]
+        for k in range(1000):
+            lines.append(f"  op x{k} plus ({ports[k]} {ports[k + 1]}) -> ({ports[k + 2]})"
+                         if k % 2 else f"  op x{k} iota ({ports[k + 1]}) -> ({ports[k + 2]})")
+        lines += ["  in p0 p1", "  out p1001"]
+        text = "\n".join(lines) + "\n"
+        doc = parse_document(text)
+        assert format_document(doc) == text
+        (nd,) = doc.nets
+        assert len(nd.ops) == 1000 and nd.ops[999] == OpDef("x999", "plus", ("p999", "p1000"),
+                                                            ("p1001",))
+        assert validate(nd.to_net(), doc.signature).ok
 
     def test_generated_nets_round_trip_up_to_iso(self):
         for seed in range(40):
@@ -128,6 +156,22 @@ class TestExpressions:
         for bad in ("", "sin", "sin(", "1 +", "(t", "t)", "log(t)", "t t"):
             with pytest.raises(ConfigError):
                 parse_expr(bad)
+
+    def test_nesting_limit(self):
+        n = MAX_NESTING
+        assert parse_expr("(" * n + "t" + ")" * n)(0.5) == 0.5
+        assert parse_expr("-" * n + "t")(0.5) == 0.5
+        assert parse_expr("abs(" * (n - 1) + "-t" + ")" * (n - 1))(0.5) == 0.5
+        for deep in ("(" * (n + 1) + "t" + ")" * (n + 1), "-" * (n + 1) + "t",
+                     "(" * n + "sin(t)" + ")" * n, "(" * 5000 + "t" + ")" * 5000):
+            with pytest.raises(ConfigError, match=f"nesting deeper than {n} levels"):
+                parse_expr(deep)
+
+    def test_long_sums_and_products_evaluate_left_to_right(self):
+        assert parse_expr("+".join(["t"] * 5000))(1.0) == 5000.0
+        assert parse_expr("*".join(["t"] * 5000))(1.0) == 1.0
+        assert parse_expr("1 - 2 - 3 * 4 / 5 + 6")(0.0) == 1 - 2 - 3 * 4 / 5 + 6
+        assert parse_expr("t / 3 * 3 - 0.1 - 0.2")(1.0) == 1.0 / 3 * 3 - 0.1 - 0.2
 
 
 class TestConfig:
@@ -170,3 +214,115 @@ class TestConfig:
         path.write_text("x,y\n0,0\n")
         with pytest.raises(ConfigError):
             parse_config(f"delta = 0.25\ntmax = 1\ninput.0 = csv: {path}\n")
+
+
+# ---------------------------------------------------------------------------
+# Parse outcomes of damaged documents, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+MUTATION_TOKENS = ("(", ")", "->", ":", "#", "sig", "net", "ports", "op", "in", "out",
+                   "0", "1", "2", "-1", "x0", "p0", "-", ">", "1a", "a-", "()")
+MUTATION_CHARS = "()->:#_ 1a\t"
+
+_HEAD = "sig f 1 1\nsig g 2 0\nnet n : 1 -> 1\n  ports a b c\n"
+_BOUNDARY = "  in a\n  out b\n"
+#: Hand-written documents for error paths that random damage rarely reaches.
+EDGE_TEXTS = tuple(_HEAD + body for body in (
+    "  op x f (a\n", "  op x f (a b\n", "  op x f (a) ->\n", "  op x f (a) -> (b) extra\n",
+    "  op x f (a) -> b\n", "  op x f a -> (b)\n", "  op x f (a ( b) -> (b)\n",
+    "  op x f (a z) -> (b)\n", "  op x f (a) -> (b b)\n", "  op x f (1) -> (b)\n",
+    "  op x f (a) => (b)\n", "  op 1 f (a) -> (b)\n", "  op\n", "\top x\th\t(a)\n",
+    "  op x f (a ) ) -> (b)\n", "  op x f (a) -> (b) )\n", "  op x g (a b) -> (c)\n",
+    "  op x f (a) -> (b)\n  op x h ((\n", "  op x g (a b b) -> ()\n",
+    "  op x f(a)->(b)#c\n" + _BOUNDARY, "  op x g (a a) -> () #\n" + _BOUNDARY,
+    "  ports d 1 a\n", "  ports d e d\n", "  ports d c\n", "  ports d\u00e9 e\n" + _BOUNDARY,
+    "  ports\n" + _BOUNDARY, "  in a 1 zz\n", "  in zz\n", "  in a\n  in 1\n",
+    "\tout\ta\tq\n", "  in a\n  out\n", "  in a\n  out b b\n", "  in\n  out b\n",
+    "  in a a\n  out b\n", "  in p0-1\n", "  out b\n  in a\n  out 1\n",
+    "sig f 1 1 1\n", "sig h 1\n", "sig h a 1\n", "sig 1 1 1\n", "sig f x\n", "sig\n",
+    "sig h 1 1 x\n", "sig h \u0663 1\n" + _BOUNDARY, "-> x\n", "# only a comment\n",
+    _BOUNDARY + "net n : 1 -> 1\n", _BOUNDARY + "net m : 1 -> 1 x\n",
+    _BOUNDARY + "net m 1 -> 1\n", _BOUNDARY + "net m : 1 > 1\n", _BOUNDARY + "net m : 1\n",
+    _BOUNDARY + "net\n", _BOUNDARY + "net 1\n", _BOUNDARY + "net m : x -> 1\n",
+    _BOUNDARY + "net m : 0 -> 0\nnet m : 0 -> 0\n", _BOUNDARY + "net m : 0 -> 0\n  ports a\n",
+    _BOUNDARY + "# end", "  op x g (a b) -> ()\n" + _BOUNDARY,
+))
+
+
+def mutated_fixture_text(rng: random.Random) -> str:
+    """A fixture file with one to four lines, tokens or characters inserted,
+    deleted or duplicated (tokens split on whitespace, indentation kept)."""
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "*.net")))
+    with open(rng.choice(paths), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    vocabulary = MUTATION_TOKENS + tuple(t for line in lines for t in line.split())
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        lead, tokens = line[:len(line) - len(line.lstrip())], line.split()
+        kind = rng.choice(("delete-line", "duplicate-line", "insert-token", "delete-token",
+                           "duplicate-token", "insert-char", "delete-char"))
+        if kind == "delete-line":
+            if len(lines) > 1:
+                del lines[i]
+        elif kind == "duplicate-line":
+            lines.insert(rng.randint(0, len(lines)), line)
+        elif kind == "insert-char":
+            k = rng.randint(0, len(line))
+            lines[i] = line[:k] + rng.choice(MUTATION_CHARS) + line[k:]
+        elif kind == "delete-char":
+            if line:
+                k = rng.randrange(len(line))
+                lines[i] = line[:k] + line[k + 1:]
+        else:
+            if kind == "insert-token":
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(vocabulary))
+            elif tokens:
+                j = rng.randrange(len(tokens))
+                if kind == "delete-token":
+                    del tokens[j]
+                else:
+                    tokens.insert(j, tokens[j])
+            lines[i] = lead + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text: str) -> dict:
+    """The printed document, or the error with its code, message, line and column."""
+    try:
+        return {"document": format_document(parse_document(text))}
+    except KahnetsError as exc:
+        return {"error": exc.format()}
+
+
+def write_dsl_errors(count: int = 300) -> None:
+    """Write ``tests/golden/dsl-errors.json``: ``count`` damaged fixtures, one
+    seeded ``random.Random(i)`` each, then ``EDGE_TEXTS``, and their parse
+    outcomes."""
+    cases = []
+    for seed in range(count):
+        text = mutated_fixture_text(random.Random(seed))
+        cases.append({"seed": seed, "text": text, **parse_outcome(text)})
+    for text in EDGE_TEXTS:
+        cases.append({"seed": None, "text": text, **parse_outcome(text)})
+    with open(DSL_ERRORS, "w", encoding="utf-8") as handle:
+        json.dump(cases, handle, indent=1)
+        handle.write("\n")
+
+
+def test_damaged_documents_parse_as_pinned():
+    """The same document or the same error code, message, line and column as
+    pinned in ``tests/golden/dsl-errors.json``."""
+    with open(DSL_ERRORS, encoding="utf-8") as handle:
+        cases = json.load(handle)
+    assert sum(case["seed"] is not None for case in cases) == 300
+    assert [case["text"] for case in cases if case["seed"] is None] == list(EDGE_TEXTS)
+    for case in cases:
+        expected = {k: case[k] for k in ("document", "error") if k in case}
+        assert parse_outcome(case["text"]) == expected, case["seed"]
+
+
+if __name__ == "__main__":
+    # python tests/test_dsl.py --write-golden  (with src/ on PYTHONPATH)
+    if sys.argv[1:] == ["--write-golden"]:
+        write_dsl_errors()
