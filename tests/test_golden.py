@@ -7,18 +7,24 @@ constructions must also number their results the same whether their operands
 use sparse ids or dense ones.
 """
 
+import contextlib
+import dataclasses
 import glob
+import io
 import json
 import os
 import random
+import sys
 
 import pytest
 
-from kahnets import GenParams, Net, compose, find_iso, gen_random_net, normalize, tensor, trace
-from kahnets.cli import main, net_to_json
-from kahnets.dsl import parse_document
+from kahnets import (GenParams, Net, compose, find_iso, gen_random_net, normalize, tensor, trace,
+                     validate)
+from kahnets.cli import _valid_net, main, net_to_json
+from kahnets.dsl import NetDef, NetDocument, format_document, parse_document
+from kahnets.errors import KahnetsError
 from kahnets.nets import renumbered
-from kahnets.stdnets import STD_SIG
+from kahnets.stdnets import STD_SIG, build
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -119,3 +125,152 @@ def test_constructions_ignore_sparse_ids():
             assert same(compose(sa, sb), compose(da, db))
         for x in range(1, min(a.m, a.n) + 1):
             assert same(trace(sa, x), trace(da, x))
+
+
+# ---------------------------------------------------------------------------
+# Validation reports, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+VALIDATION = os.path.join(GOLDEN, "validation-reports.json")
+
+#: Hand-written documents that parse but break the wiring: a port with two
+#: producers, a boundary input on a port an operator also drives, one
+#: operator driving a port twice, and nets whose only findings are notes.
+_SIG = "sig f 1 1\nsig g 1 2\nsig h 2 1\n"
+VALIDATION_TEXTS = tuple(_SIG + body for body in (
+    "net n : 1 -> 1\n  ports p q\n  op x f (p) -> (q)\n  op y f (p) -> (q)\n  in p\n  out q\n",
+    "net n : 1 -> 1\n  ports p q\n  op x f (q) -> (p)\n  in p\n  out q\n",
+    "net n : 2 -> 1\n  ports p q\n  op x h (p q) -> (q)\n  in p p\n  out q\n",
+    "net n : 1 -> 2\n  ports p q\n  op x g (p) -> (q q)\n  in p\n  out q q\n",
+    "net n : 1 -> 1\n  ports p q r\n  op x f (p) -> (q)\n  op y f (q) -> (q)\n"
+    "  op z g (r) -> (q r)\n  in q\n  out r\n",
+    "net n : 0 -> 1\n  ports p q r\n  op x f (p) -> (q)\n  out q\n",
+    "net n : 0 -> 0\n  ports p\n",
+    "net a : 1 -> 1\n  ports p\n  in p\n  out p\n\n"
+    "net b : 1 -> 1\n  ports p q\n  op x f (p) -> (p)\n  in q\n  out p\n",
+))
+
+
+def damaged_wiring(rng: random.Random) -> str:
+    """A fixture document with one net rewired one to three times: a port
+    reference of an operator or of the boundary moved to another declared
+    port, a fresh port declared, or an operator deleted.  It is printed
+    canonically, so it parses; whether it validates is up to the damage."""
+    paths = sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.net")))
+    doc = parse_document(_read(rng.choice(paths)))
+    nets = list(doc.nets)
+    k = rng.randrange(len(nets))
+    nd = nets[k]
+    ports, ops = list(nd.ports), list(nd.ops)
+    boundary = {"in": list(nd.inputs), "out": list(nd.outputs)}
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("ins", "outs", "outs", "in", "out", "port", "drop"))
+        if kind in ("ins", "outs") and ops:
+            x = rng.randrange(len(ops))
+            side = list(getattr(ops[x], kind))
+            if side:
+                side[rng.randrange(len(side))] = rng.choice(ports)
+                ops[x] = dataclasses.replace(ops[x], **{kind: tuple(side)})
+        elif kind in boundary:
+            side = boundary[kind]
+            if side:
+                side[rng.randrange(len(side))] = rng.choice(ports)
+        elif kind == "port":
+            ports.append(f"fresh{len(ports)}")
+        elif ops:
+            del ops[rng.randrange(len(ops))]
+    nets[k] = NetDef(nd.name, nd.m, nd.n, tuple(ports), tuple(ops),
+                     tuple(boundary["in"]), tuple(boundary["out"]))
+    return format_document(NetDocument(doc.signature, tuple(nets)))
+
+
+def malformed_nets() -> list[Net]:
+    """Hand-built nets that break the definition in every way ``validate``
+    reports, several ways at once in some."""
+    paper = build("paper_example")
+    return [
+        Net(paper.m, paper.n, paper.ports, paper.labels, paper.src, {**paper.tgt, (1, 1): 3}),
+        Net(0, 0, frozenset({0}), {0: "gamma"}, {}, {(0, 0): 7}),
+        Net(1, 1, frozenset({0, 1}), {0: "iota"}, {0: 1}, {0: 0, (0, 0): 1}),
+        Net(0, 1, frozenset({0}), {}, {0: 0}, {}),
+        Net(1, 1, {0}, {0: "scale"}, {(0, 1): 0, 0: 0}, {0: 0}),
+        Net(1, 1, frozenset({0, 5}), {}, {0: 0}, {0: 0}),
+        Net(1, 1, {2, 7, 9}, {4: "beta"}, {(4, 0): 2, 0: 7}, {(4, 0): 7, (4, 1): 9, 0: 2}),
+        Net(-1, 2, {0, 1, 2}, {0: "alpha", 3: "gamma", 4: "beta"},
+            {(0, 0): 1, (0, 2): 0, (3, 0): 1, (4, 0): 2, (4, 1): 8, 0: 2, 2: 5, "x": 1},
+            {(0, 0): 2, (4, 0): 2, (4, 1): 2, (9, 0): 1, 0: 1, -1: 0}),
+        Net(2, 0, {0, 1, 2, 3}, {1: "iota", 2: "iota"}, {(1, 0): 0, (2, 0): 0},
+            {(1, 0): 1, (2, 0): 1, 0: 1, 1: 1}),
+    ]
+
+
+def report_json(report) -> dict:
+    return {"errors": [[i.code, i.message] for i in report.errors],
+            "notes": [[i.code, i.message] for i in report.notes]}
+
+
+def validation_outcome(path: str) -> dict:
+    """``check --json`` on the file (exit code and stdout), and the error line
+    :func:`kahnets.cli._valid_net` gives each of its nets (None when valid)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", path, "--json"])
+    doc = parse_document(_read(path))
+    lines = {}
+    for nd in doc.nets:
+        try:
+            _valid_net(doc, nd.name)
+            lines[nd.name] = None
+        except KahnetsError as exc:
+            lines[nd.name] = f"error {exc.format()}"
+    return {"exit": code, "check": out.getvalue(), "valid_net": lines}
+
+
+def validation_texts(count: int = 120) -> list[tuple[object, str]]:
+    """(seed, text) of every document the golden covers: the damaged documents
+    of ``dsl-errors.json`` that parse, ``count`` documents from
+    :func:`damaged_wiring`, one seeded ``random.Random(i)`` each, and
+    ``VALIDATION_TEXTS``."""
+    with open(os.path.join(GOLDEN, "dsl-errors.json"), encoding="utf-8") as handle:
+        texts = [(f"dsl-errors {case['seed']}", case["text"])
+                 for case in json.load(handle) if "document" in case]
+    texts += [(seed, damaged_wiring(random.Random(seed))) for seed in range(count)]
+    return texts + [(None, text) for text in VALIDATION_TEXTS]
+
+
+def write_validation_reports(workdir: str) -> None:
+    """Write ``tests/golden/validation-reports.json``."""
+    documents = []
+    path = os.path.join(workdir, "doc.net")
+    for seed, text in validation_texts():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        documents.append({"seed": seed, "text": text, **validation_outcome(path)})
+    nets = [report_json(validate(net, STD_SIG)) for net in malformed_nets()]
+    with open(VALIDATION, "w", encoding="utf-8") as handle:
+        json.dump({"documents": documents, "nets": nets}, handle, indent=1)
+        handle.write("\n")
+
+
+def test_validation_reports_are_as_pinned(tmp_path):
+    """``check --json``, the ``_valid_net`` error line and ``validate`` give the
+    same codes, messages and order as pinned in
+    ``tests/golden/validation-reports.json``."""
+    with open(VALIDATION, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert [(case["seed"], case["text"]) for case in golden["documents"]] == validation_texts()
+    path = str(tmp_path / "doc.net")
+    for case in golden["documents"]:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(case["text"])
+        expected = {k: case[k] for k in ("exit", "check", "valid_net")}
+        assert validation_outcome(path) == expected, case["seed"]
+    assert [report_json(validate(net, STD_SIG)) for net in malformed_nets()] == golden["nets"]
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py --write-golden  (with src/ on PYTHONPATH)
+    if sys.argv[1:] == ["--write-golden"]:
+        import tempfile
+        with tempfile.TemporaryDirectory() as tmp:
+            write_validation_reports(tmp)
