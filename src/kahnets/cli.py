@@ -13,7 +13,8 @@ Subcommands::
 Exit codes: 0 ok, 1 property/iso failure, 2 usage or file errors (an invalid
 net included), 3 evaluation errors.  Every error prints one machine-readable line
 ``error <code>: <message>`` on stderr (or a JSON object with ``--json``); a
-usage error is ``error usage-error: <message>``.
+usage error is ``error usage-error: <message>``, or with ``--json`` anywhere
+in the arguments ``{"error": {"code": "usage-error", "message": ...}}``.
 When ``eval`` runs out of sweeps before its fixpoint, it still prints the
 outputs and exits 0, after one ``warning budget-exhausted: <message>`` line
 on stderr.
@@ -43,8 +44,12 @@ from .stdnets import it_interpretation, std_interpretation, std_signature
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit_error(exc, "--json" in argv)
+        raise SystemExit(2) from None
     try:
         return args.handler(args)
     except KahnetsError as exc:
@@ -54,12 +59,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+class _UsageError(KahnetsError):
+    code = "usage-error"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error usage-error: <message>`` line, exit 2.
-    ``add_subparsers`` makes the subcommand parsers of this class too."""
+    """Raises a usage error as a :class:`_UsageError`, which :func:`main`
+    reports like any other error, then exits 2.  ``add_subparsers`` makes the
+    subcommand parsers of this class too."""
 
     def error(self, message: str):
-        self.exit(2, f"error usage-error: {' '.join(message.split())}\n")
+        raise _UsageError(" ".join(message.split()))
 
 
 @functools.cache
@@ -151,11 +161,13 @@ def _load(path: str) -> NetDocument:
 
 
 def _valid_net(doc: NetDocument, name: str) -> Net:
-    """The document's net ``name``, which must pass :func:`validate`."""
+    """The document's net ``name``, which must pass :func:`validate`.  A parsed
+    net that holds its wiring is valid already (see ``NetDef.to_net``)."""
     net = doc.net(name)
-    report = validate(net, doc.signature)
-    if not report.ok:
-        raise DslSyntaxError(f"net {name!r} is invalid: {report.errors[0].message}")
+    if "wiring" not in vars(net):
+        report = validate(net, doc.signature)
+        if not report.ok:
+            raise DslSyntaxError(f"net {name!r} is invalid: {report.errors[0].message}")
     return net
 
 

@@ -66,7 +66,9 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
                 probes = tuple(_finite(v) for v in value.split(","))
             elif key.startswith("input."):
                 index = int(key[len("input."):])
-                inputs[index] = _parse_input(key, value, base_dir, number)
+                after = raw[raw.index("=") + 1:]
+                value_col = len(raw) - len(after.lstrip()) + 1
+                inputs[index] = _parse_input(key, value, base_dir, number, value_col)
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
         except ValueError as exc:
@@ -98,12 +100,18 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_input(key: str, value: str, base_dir: str, line: int) -> CtFn:
+def _parse_input(key: str, value: str, base_dir: str, line: int, col: int) -> CtFn:
+    """The input ``value`` of config line ``line``, which starts at column
+    ``col``; an expression error is located in that line."""
     if ":" not in value:
         raise ConfigError(f"input needs 'expr:' or 'csv:' prefix, got {value!r}", line=line)
     kind, payload = (part.strip() for part in value.split(":", 1))
     if kind == "expr":
-        fn = parse_expr(payload)
+        try:
+            fn = parse_expr(payload)
+        except ConfigError as exc:
+            at = None if exc.col is None else col + len(value) - len(payload) + exc.col - 1
+            raise ConfigError(exc.message, line=line, col=at) from None
         return CtFn(fn, "unknown", name=f"{key} ({payload})")
     if kind == "csv":
         path = payload if os.path.isabs(payload) else os.path.join(base_dir, payload)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .errors import ArityMismatch, DslSyntaxError, KahnetsError, UndeclaredPort, UnknownSymbol
-from .nets import Net, Signature
+from .nets import Net, Signature, _dense
 
 _TOKEN = re.compile(r"->|[():]|[A-Za-z_]\w*|\d+|\S")
 
@@ -52,20 +52,23 @@ class NetDef:
     outputs: tuple[str, ...]
 
     def to_net(self) -> Net:
-        index = {p: i for i, p in enumerate(self.ports)}
-        labels = {i: op.symbol for i, op in enumerate(self.ops)}
-        src = {}
-        tgt = {}
-        for i, op in enumerate(self.ops):
-            for j, p in enumerate(op.ins):
-                src[(i, j)] = index[p]
-            for j, p in enumerate(op.outs):
-                tgt[(i, j)] = index[p]
-        for k, p in enumerate(self.outputs):
-            src[k] = index[p]
-        for k, p in enumerate(self.inputs):
-            tgt[k] = index[p]
-        return Net(self.m, self.n, frozenset(range(len(self.ports))), labels, src, tgt)
+        """The net this definition describes, port and operator ids numbered
+        in order of declaration.
+
+        :func:`parse_document` has checked every symbol, arity, port and the
+        boundary counts, so the one defect a parsed definition can have is a
+        port with two drivers.  That net is built from slot dicts, for
+        :func:`kahnets.nets.validate` to report; any other holds its wiring."""
+        port = {p: i for i, p in enumerate(self.ports)}.__getitem__
+        ops = [(op.symbol, tuple(map(port, op.ins)), tuple(map(port, op.outs))) for op in self.ops]
+        inputs, outputs = tuple(map(port, self.inputs)), tuple(map(port, self.outputs))
+        try:
+            return _dense(ops, inputs, outputs, len(self.ports))
+        except RuntimeError:  # a port with two drivers
+            src = {(x, i): p for x, (_, xi, _) in enumerate(ops) for i, p in enumerate(xi)}
+            tgt = {(x, j): p for x, (_, _, xo) in enumerate(ops) for j, p in enumerate(xo)}
+            return Net(self.m, self.n, range(len(self.ports)), {x: op[0] for x, op in enumerate(ops)},
+                       {**src, **dict(enumerate(outputs))}, {**tgt, **dict(enumerate(inputs))})
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ from .errors import ConfigError
 
 _TOKEN = re.compile(r"\s*(\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?|[A-Za-z_]\w*|[()+\-*/]|\S)")
 
+#: How many characters of an expression or a token an error message echoes.
+_ECHO_LIMIT = 40
+
 #: How deep parentheses, function calls and unary minus may nest: far deeper
 #: than hand-written expressions, and far within Python's recursion limit at
 #: five parser frames and at most three evaluation frames a level.
@@ -44,6 +47,11 @@ _FUNCS: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
     "abs": abs,
 }
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted, cut to ``_ECHO_LIMIT`` characters."""
+    return repr(text) if len(text) <= _ECHO_LIMIT else repr(text[:_ECHO_LIMIT]) + "..."
 
 
 def _fold(first, rest):
@@ -76,7 +84,7 @@ class _Parser:
 
     def error(self, message: str) -> ConfigError:
         col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text) + 1
-        return ConfigError(f"{message} in expression {self.text!r}", col=col)
+        return ConfigError(f"{message} in expression {_echo(self.text)}", col=col)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -146,14 +154,14 @@ class _Parser:
             self.take()
             fn = _FUNCS[tok]
             return lambda t: fn(inner(t))
-        raise self.error(f"unexpected token {tok!r}")
+        raise self.error(f"unexpected token {_echo(tok)}")
 
 
 def parse_expr(text: str) -> Callable[[float], float]:
     parser = _Parser(text)
     if not parser.tokens:
-        raise ConfigError(f"empty expression {text!r}")
+        raise ConfigError(f"empty expression {_echo(text)}")
     fn = parser.expr()
     if parser.peek() is not None:
-        raise parser.error(f"unexpected trailing {parser.peek()!r}")
+        raise parser.error(f"unexpected trailing {_echo(parser.peek())}")
     return fn

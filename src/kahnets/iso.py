@@ -125,11 +125,11 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
     """A witness isomorphism from ``a`` onto ``b``, or None when none exists."""
     if a.m != b.m or a.n != b.n:
         return None
-    if len(a.ports) != len(b.ports) or len(a.labels) != len(b.labels):
-        return None
-    if sorted(a.labels.values()) != sorted(b.labels.values()):
-        return None
     wa, wb = a.wiring, b.wiring
+    if len(wa.driver) != len(wb.driver) or len(wa.ops) != len(wb.ops):
+        return None
+    if sorted(lab for lab, _, _ in wa.ops) != sorted(lab for lab, _, _ in wb.ops):
+        return None
 
     # Boundary attachment forces part of the port bijection.  The search runs
     # on ranks, which order ports and operators as their ids do.

@@ -12,13 +12,20 @@ to the port that receives the j-th result.  ``tgt`` is injective over its whole
 domain: a port has at most one producer, but may fan out to any number of
 readers (including none).
 
-The slot dicts are the net as given, and :func:`validate` checks only them.
-Everything else reads a valid net through ``Net.wiring``, a :class:`Wiring`
-that numbers operators and ports by rank (position in sorted order) and holds
-each operator's label, input ports and output ports, each port's driver slot
-and reader slots, and the ports of the boundary inputs and outputs.  It is
-computed once per net: the constructions below record it as they build a
-net, and any other net groups its slot dicts into it on first use.
+A net is its wiring, ``Net.wiring``: a :class:`Wiring` that numbers
+operators and ports by rank (position in sorted order) and holds each
+operator's label, input ports and output ports, each port's driver slot and
+reader slots, and the ports of the boundary inputs and outputs.  Only
+:func:`validate` and the witness check ``NetIso.verify`` read the slot dicts
+instead.  A net built by the constructions below or read from the DSL holds
+only its wiring, and builds its slot dicts (``ports``, ``labels``, ``src``,
+``tgt``) from it when they are first read.  A net built by hand, ``Net(m, n, ports, labels, src, tgt)``,
+holds the slot dicts as given, however malformed, and groups them into its
+wiring on first use.
+
+:func:`validate` checks the slot dicts alone.  It serves ``check`` and nets
+built by hand: no construction can build a port with two drivers (building
+such a wiring raises ``RuntimeError``), and the DSL parser checks the rest.
 
 All construction functions return dense nets, whose ports and operators are
 numbered ``0..k-1`` in a deterministic order, so results are reproducible
@@ -29,7 +36,7 @@ operation builds a fresh net.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -82,9 +89,13 @@ class Signature:
 # Net
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Net:
     """A net from ``m`` to ``n``.  See the module docstring for conventions.
+
+    ``Net(m, n, ports, labels, src, tgt)`` stores the slot dicts as given,
+    however malformed.  A net built by this module or read from the DSL holds
+    only its wiring, and builds each slot dict from it when first read.
+    Nets are immutable.
 
     Structural equality of nets is deliberately not defined; compare nets up
     to isomorphism with :func:`kahnets.iso.find_iso`.
@@ -92,16 +103,41 @@ class Net:
 
     m: int
     n: int
-    ports: frozenset[int]
-    labels: Mapping[int, str]  # operator id -> symbol name
-    src: Mapping[Slot, int]
-    tgt: Mapping[Slot, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ports", frozenset(self.ports))
-        object.__setattr__(self, "labels", dict(self.labels))
-        object.__setattr__(self, "src", dict(self.src))
-        object.__setattr__(self, "tgt", dict(self.tgt))
+    def __init__(self, m: int, n: int, ports: Iterable[int], labels: Mapping[int, str],
+                 src: Mapping[Slot, int], tgt: Mapping[Slot, int]):
+        self.__dict__.update(m=m, n=n, ports=frozenset(ports), labels=dict(labels),
+                             src=dict(src), tgt=dict(tgt))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # -- the slot dicts of a net that holds only its (dense) wiring ----------
+
+    @cached_property
+    def ports(self) -> frozenset[int]:
+        return frozenset(self.wiring.port_ids)
+
+    @cached_property
+    def labels(self) -> dict[int, str]:  # operator id -> symbol name
+        return {x: lab for x, (lab, _, _) in enumerate(self.wiring.ops)}
+
+    @cached_property
+    def src(self) -> dict[Slot, int]:
+        w = self.wiring
+        src: dict[Slot, int] = {(x, i): p for x, (_, xi, _) in enumerate(w.ops) for i, p in enumerate(xi)}
+        src.update(enumerate(w.outputs))
+        return src
+
+    @cached_property
+    def tgt(self) -> dict[Slot, int]:
+        w = self.wiring
+        tgt: dict[Slot, int] = {(x, j): p for x, (_, _, xo) in enumerate(w.ops) for j, p in enumerate(xo)}
+        tgt.update(enumerate(w.inputs))
+        return tgt
 
     # -- queries ------------------------------------------------------------
 
@@ -113,8 +149,8 @@ class Net:
     def wiring(self) -> "Wiring":
         """The wiring of this (valid) net, by operator and port rank.
 
-        Grouped from the slot dicts on first use, unless the construction that
-        built the net recorded it."""
+        Grouped from the slot dicts on first use, unless the net was built
+        from its wiring."""
         op_ids, port_ids = tuple(sorted(self.labels)), tuple(sorted(self.ports))
         op_rank = {x: r for r, x in enumerate(op_ids)}
         port_rank = {p: r for r, p in enumerate(port_ids)}
@@ -191,18 +227,23 @@ class Wiring(NamedTuple):
 
 def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
     """The wiring with these operators and boundary ports, adding each port's
-    driver and readers."""
+    driver and readers.  Raises ``RuntimeError`` when two slots drive one
+    port, which no valid net has."""
     driver: list[Optional[Slot]] = [None] * len(port_ids)
     readers: list[list[Slot]] = [[] for _ in port_ids]
+    driving = len(inputs)
     for x, (_, xi, xo) in enumerate(ops):
         for i, p in enumerate(xi):
             readers[p].append((x, i))
         for j, p in enumerate(xo):
             driver[p] = (x, j)
+        driving += len(xo)
     for k, p in enumerate(inputs):
         driver[p] = k
     for k, p in enumerate(outputs):
         readers[p].append(k)
+    if driving != len(driver) - driver.count(None):
+        raise RuntimeError("tgt is not injective: some port has two drivers")
     return Wiring(ops, tuple(driver), tuple(map(tuple, readers)), inputs, outputs, op_ids, port_ids)
 
 
@@ -296,15 +337,6 @@ def validate(net: Net, sig: Signature) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(notes))
 
 
-def _require_valid_shapes(net: Net) -> None:
-    """Internal sanity assertion: tgt injectivity must survive every construction."""
-    seen: set[int] = set()
-    for p in net.tgt.values():
-        if p in seen:
-            raise RuntimeError(f"internal invariant lost: tgt not injective at port {p} in {net!r}")
-        seen.add(p)
-
-
 # ---------------------------------------------------------------------------
 # Renumbering and quotients
 # ---------------------------------------------------------------------------
@@ -371,17 +403,11 @@ def _dense(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], inputs: 
            outputs: Iterable[int], size: int) -> Net:
     """The dense net on ports ``0..size-1`` whose operator x is ``ops[x]`` =
     (label, input ports, output ports), with boundary inputs entering
-    ``inputs`` and outputs reading ``outputs``.  The net's wiring is known
-    here already, so it is recorded rather than grouped again on first use."""
+    ``inputs`` and outputs reading ``outputs``.  The net holds only its
+    wiring.  Raises ``RuntimeError`` when two slots drive one port."""
     w = _make_wiring(tuple(ops), tuple(inputs), tuple(outputs), range(len(ops)), range(size))
-    src: dict[Slot, int] = {(x, i): p for x, (_, xi, _) in enumerate(w.ops) for i, p in enumerate(xi)}
-    src.update(enumerate(w.outputs))
-    tgt: dict[Slot, int] = {(x, j): p for x, (_, _, xo) in enumerate(w.ops) for j, p in enumerate(xo)}
-    tgt.update(enumerate(w.inputs))
-    net = Net(len(w.inputs), len(w.outputs), frozenset(w.port_ids),
-              {x: lab for x, (lab, _, _) in enumerate(w.ops)}, src, tgt)
-    net.__dict__["wiring"] = w
-    _require_valid_shapes(net)
+    net = object.__new__(Net)
+    net.__dict__.update(m=len(w.inputs), n=len(w.outputs), wiring=w)
     return net
 
 
@@ -453,7 +479,8 @@ def compose(a: Net, b: Net) -> Net:
     """
     if a.n != b.m:
         raise ArityMismatch(f"compose: {a.n} outputs cannot feed {b.m} inputs")
-    wa, wb, po = a.wiring, b.wiring, len(a.ports)
+    wa, wb = a.wiring, b.wiring
+    po = len(wa.driver)
     return renumbered(a, b, inputs=wa.inputs, outputs=[p + po for p in wb.outputs],
                       glue=zip(wa.outputs, [p + po for p in wb.inputs]))
 

@@ -208,7 +208,7 @@ def denote_it(net: Net, interp: Interpretation, inputs: Sequence[ItStream],
     for s in inputs:
         if s.period != p:
             raise ArityMismatch(f"input sampled at {s.period} fed into evaluation at {p}")
-    budget = max_sweeps if max_sweeps is not None else p.horizon + len(net.ports) + 2
+    budget = max_sweeps if max_sweeps is not None else p.horizon + len(net.wiring.driver) + 2
     outs, stats = denote(net, interp, [s.values for s in inputs], budget,
                          max_len=p.horizon, return_stats=True)
     if stats.reached_fixpoint and any(len(o) == 0 for o in outs):

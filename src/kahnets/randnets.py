@@ -129,7 +129,7 @@ def _wiring(rng: random.Random, m: int, n: int, allow_undriven: bool) -> Net:
 
 
 def _has_undriven(net: Net) -> bool:
-    return bool(net.ports - net.driven_ports())
+    return None in net.wiring.driver
 
 
 def _producing_loop(rng: random.Random, sig: Signature, n: int) -> Net:

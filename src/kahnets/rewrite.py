@@ -64,7 +64,9 @@ class Redex:
 
 
 def _sharing_key(net: Net, x: int) -> tuple[str, tuple[int, ...]]:
-    return (net.labels[x], net.op_inputs(x))
+    w = net.wiring
+    label, xi, _ = w.ops[w.op_rank(x)]
+    return (label, tuple(w.port_ids[p] for p in xi))
 
 
 def _is_dead(net: Net, x: int) -> bool:
@@ -134,7 +136,7 @@ class SharedNet:
         keys = list(self.op_keys.values())
         if len(set(keys)) != len(keys):
             raise ValueError("shared net has duplicate (label, inputs) operators")
-        for x in self.net.operators:
+        for x in self.net.wiring.op_ids:
             if _is_dead(self.net, x):
                 raise ValueError(f"shared net has fully unconsumed operator {x}")
 
@@ -166,7 +168,7 @@ def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
             cur = apply_redex(cur, rs[rng.randrange(len(rs))])
             steps += 1
         cur = renumbered(cur)
-    return SharedNet(cur, {x: _sharing_key(cur, x) for x in cur.operators}, steps)
+    return SharedNet(cur, {x: _sharing_key(cur, x) for x in cur.wiring.op_ids}, steps)
 
 
 def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:

@@ -17,6 +17,8 @@ from kahnets import cli, nstime
 from kahnets.cli import main
 from kahnets.config import parse_config
 from kahnets.dsl import parse_document
+from kahnets.errors import DslSyntaxError
+from kahnets.nets import validate
 from kahnets.stdnets import it_interpretation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -54,25 +56,54 @@ class TestInvalidNets:
 
     DOUBLE_PRODUCER = ("sig a 1 1\nnet n : 1 -> 1\n  ports p0 p1\n"
                        "  op x0 a (p0) -> (p1)\n  op x1 a (p0) -> (p1)\n  in p0\n  out p1\n")
+    #: Documents that parse but drive a port twice, and the first error of each.
+    DOUBLY_DRIVEN = [
+        (DOUBLE_PRODUCER, "port 1 produced by both (0, 0) and (1, 0)"),
+        ("sig a 1 1\nnet n : 1 -> 1\n  ports p q\n  op x a (q) -> (p)\n  in p\n  out q\n",
+         "port 0 produced by both (0, 0) and 0"),
+        ("sig b 1 2\nnet n : 1 -> 1\n  ports p q\n  op x b (p) -> (q q)\n  in p\n  out q\n",
+         "port 1 produced by both (0, 0) and (0, 1)"),
+    ]
 
     def test_rejected_by_every_command(self, tmp_path, capsys):
         path = tmp_path / "bad.net"
-        path.write_text(self.DOUBLE_PRODUCER)
         bad = str(path)
-        assert main(["check", bad]) == 1
-        assert "tgt-not-injective" in capsys.readouterr().out
-        for argv in (["normalize", bad, "n"], ["normalize", bad, "n", "--json"],
-                     ["iso", bad, "n", "n"], ["se-equiv", bad, "n", "n"],
-                     ["eval", bad, "n", "--input", "1,2"],
-                     ["simulate", bad, "n", "--config", fx("sin01.cfg")]):
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            if "--json" in argv:
-                assert json.loads(captured.err)["error"]["code"] == "syntax-error"
-            else:
-                (line,) = captured.err.splitlines()
-                assert line.startswith("error syntax-error: net 'n' is invalid: port ")
-            assert captured.out == ""
+        for text, message in self.DOUBLY_DRIVEN:
+            path.write_text(text)
+            assert main(["check", bad]) == 1
+            assert f"error tgt-not-injective: {message}" in capsys.readouterr().out
+            for argv in (["normalize", bad, "n"], ["normalize", bad, "n", "--json"],
+                         ["iso", bad, "n", "n"], ["se-equiv", bad, "n", "n"],
+                         ["eval", bad, "n", "--input", "1,2"],
+                         ["simulate", bad, "n", "--config", fx("sin01.cfg")]):
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                if "--json" in argv:
+                    assert json.loads(captured.err) == {"error": {
+                        "code": "syntax-error", "message": f"net 'n' is invalid: {message}"}}
+                else:
+                    assert captured.err == f"error syntax-error: net 'n' is invalid: {message}\n"
+                assert captured.out == ""
+
+    def test_a_parsed_net_is_validated_once(self, monkeypatch):
+        """The parser has checked a net that holds its wiring; only a net
+        with a port driven twice goes through ``validate``, whose report the
+        error line quotes."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(cli, "validate", counted)
+        with open(fx("paper_example.net"), encoding="utf-8") as handle:
+            doc = parse_document(handle.read())
+        net = cli._valid_net(doc, "main")
+        assert calls == [] and {"ports", "labels", "src", "tgt"}.isdisjoint(vars(net))
+        doc = parse_document(self.DOUBLE_PRODUCER)
+        with pytest.raises(DslSyntaxError):
+            cli._valid_net(doc, "n")
+        assert len(calls) == 1
 
 
 class TestIso:
@@ -288,6 +319,15 @@ class TestUsageErrors:
         assert line.startswith(f"error usage-error: {message}")
         assert captured.out == ""
 
+    def test_json_error_object(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": {
+            "code": "usage-error", "message": "the following arguments are required: file, net"}}
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_version_and_help_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -330,6 +370,20 @@ class TestConfigValues:
         assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("error config-error: nesting deeper than 100 levels in expression ")
+        assert re.search(r"\.\.\. \(line 3, col \d+\)$", err) and len(err) < 200
+
+    @pytest.mark.parametrize("line, message", [
+        ("input.0 = expr: sin(", "unexpected end in expression 'sin(' (line 3, col 21)"),
+        ("  input.0 =\t expr:  1 + q  # q", "unexpected token 'q' in expression '1 + q' (line 3, col 25)"),
+        ("input.0 = expr: " + "t + " * 30, "unexpected end in expression "
+                                           "'t + t + t + t + t + t + t + t + t + t + '... (line 3, col 136)"),
+        ("input.0 = expr: ", "empty expression '' (line 3)"),
+    ], ids=["unclosed-call", "unknown-name", "long-expression", "empty"])
+    def test_input_expression_errors_name_their_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"delta = 0.01\ntmax = 0.5\n{line}\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error config-error: {message}\n"
 
 
 class TestLaws:

@@ -4,7 +4,9 @@
 net in ``fixtures/*.net``, one ``iso --json`` witness, byte for byte, and the
 JSON form of some random nets, their traces and normal forms.  The
 constructions must also number their results the same whether their operands
-use sparse ids or dense ones.
+use sparse ids or dense ones.  It also pins the validation reports of
+damaged documents and hand-built nets, and the slot dicts that parsed and
+constructed nets build from their wiring.
 """
 
 import contextlib
@@ -268,9 +270,56 @@ def test_validation_reports_are_as_pinned(tmp_path):
     assert [report_json(validate(net, STD_SIG)) for net in malformed_nets()] == golden["nets"]
 
 
+# ---------------------------------------------------------------------------
+# Slot dicts, pinned in order
+# ---------------------------------------------------------------------------
+
+SLOT_DICTS = os.path.join(GOLDEN, "slot-dicts.json")
+
+
+def slot_dicts(net: Net) -> dict:
+    """The net's boundary arities and slot dicts, in their iteration order."""
+    def items(mapping):
+        return [[list(s) if isinstance(s, tuple) else s, p] for s, p in mapping.items()]
+
+    return {"m": net.m, "n": net.n, "ports": sorted(net.ports), "labels": items(net.labels),
+            "src": items(net.src), "tgt": items(net.tgt)}
+
+
+def slot_dict_nets() -> list[tuple[str, Net]]:
+    """Every net of ``fixtures/*.net`` as parsed, and ``gen_random_net`` for
+    seeds 0-99."""
+    nets = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.net"))):
+        doc = parse_document(_read(path))
+        nets += [(f"{os.path.basename(path)} {nd.name}", doc.net(nd.name)) for nd in doc.nets]
+    return nets + [(f"seed {seed}", gen_random_net(GenParams(seed=seed, signature=STD_SIG)))
+                   for seed in range(100)]
+
+
+def write_slot_dicts() -> None:
+    """Write ``tests/golden/slot-dicts.json``."""
+    with open(SLOT_DICTS, "w", encoding="utf-8") as handle:
+        json.dump({name: slot_dicts(net) for name, net in slot_dict_nets()}, handle, indent=1)
+        handle.write("\n")
+
+
+def test_slot_dicts_are_as_pinned():
+    """The slot dicts a parsed or constructed net builds from its wiring when
+    they are first read equal, in content and order, those pinned in
+    ``tests/golden/slot-dicts.json``."""
+    with open(SLOT_DICTS, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    nets = slot_dict_nets()
+    assert [name for name, _ in nets] == list(golden)
+    for name, net in nets:
+        assert slot_dicts(net) == golden[name], name
+
+
 if __name__ == "__main__":
     # python tests/test_golden.py --write-golden  (with src/ on PYTHONPATH)
     if sys.argv[1:] == ["--write-golden"]:
         import tempfile
         with tempfile.TemporaryDirectory() as tmp:
             write_validation_reports(tmp)
+        write_slot_dicts()

@@ -1,13 +1,18 @@
 """Core net IR: validation, constructions, and their categorical equations."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from kahnets import (ArityMismatch, ArityTooSmall, GenParams, Net, UnknownKind,
                      UnknownSymbol, compose, duplication, erasure, find_iso,
                      gen_random_net, generator, identity, projection,
                      structural, symmetry, tensor, trace, validate)
+from kahnets.nets import _dense
 from kahnets.stdnets import STD_SIG, build
 
+#: The slot dicts a net built from its wiring makes only when they are read.
+SLOT_DICTS = {"ports", "labels", "src", "tgt"}
 
 def paper_net() -> Net:
     return build("paper_example")
@@ -231,3 +236,39 @@ class TestWiring:
         net = Net(1, 1, {0}, {0: "scale"}, {(0, 1): 0, 0: 0}, {0: 0})  # slot gap
         assert not validate(net, STD_SIG).ok
         assert "wiring" not in vars(net)
+
+    def test_constructions_hold_only_their_wiring(self):
+        nets = [gen_random_net(GenParams(seed=seed, signature=STD_SIG)) for seed in range(40)]
+        results = nets + [compose(generator(STD_SIG, "iota"), duplication(1))]
+        for a, b in zip(nets, nets[1:]):
+            results += [tensor(a, b), compose(a, identity(a.n))]
+            if a.n == b.m:
+                results.append(compose(a, b))
+            if a.m and a.n:
+                results.append(trace(a, 1))
+        for net in results:
+            assert SLOT_DICTS.isdisjoint(vars(net)), net
+
+    def test_slot_dicts_are_built_once_on_first_read(self):
+        net = compose(generator(STD_SIG, "beta"), symmetry(1, 1))
+        assert net.src is net.src and net.tgt is net.tgt
+        assert net.labels == {0: "beta"} and net.ports == {0, 1, 2, 3}
+        assert SLOT_DICTS <= vars(net).keys()
+        assert Net(net.m, net.n, net.ports, net.labels, net.src, net.tgt).wiring[:5] == net.wiring[:5]
+
+    def test_a_port_with_two_drivers_is_never_built(self):
+        for ops, inputs in ([(("iota", (0,), (1,)), ("iota", (0,), (1,))), (0,)],
+                            [(("iota", (1,), (0,)),), (0,)],
+                            [(("beta", (0,), (1, 1)),), (0,)],
+                            [(), (0, 0)]):
+            with pytest.raises(RuntimeError, match="two drivers"):
+                _dense(ops, inputs, (0,), 2)
+
+    def test_nets_are_immutable(self):
+        hand_built = Net(1, 1, {0}, {}, {0: 0}, {0: 0})
+        for net in (identity(1), hand_built):
+            for name in ("m", "ports", "src", "wiring"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(net, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(net, name)
