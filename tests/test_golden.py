@@ -25,7 +25,7 @@ from kahnets import (GenParams, Net, compose, find_iso, gen_random_net, normaliz
 from kahnets.cli import _valid_net, main, net_to_json
 from kahnets.dsl import NetDef, NetDocument, format_document, parse_document
 from kahnets.errors import KahnetsError
-from kahnets.nets import renumbered
+from kahnets.nets import _dense, renumbered
 from kahnets.stdnets import STD_SIG, build
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -68,14 +68,27 @@ def reversed_ids(net: Net) -> Net:
                {slot(s): last_port - p for s, p in net.tgt.items()})
 
 
+def net_from_json(data: dict) -> Net:
+    """The dense net that ``net_to_json`` printed as ``data``."""
+    ops = [(op["label"], [], []) for op in data["operators"]]
+    assert [op["id"] for op in data["operators"]] == list(range(len(ops)))
+    assert data["ports"] == list(range(len(data["ports"])))
+    for key, side in (("op_src", 1), ("op_tgt", 2)):
+        for x, i, p in data[key]:
+            assert len(ops[x][side]) == i
+            ops[x][side].append(p)
+    return _dense([(lab, tuple(ins), tuple(outs)) for lab, ins, outs in ops],
+                  data["in_tgt"], data["out_src"], len(data["ports"]))
+
+
 def test_constructions_and_witnesses_are_as_before():
-    """Random nets (built by compose/tensor/trace), one more trace of each,
-    their normal forms as ``net_to_json`` prints them, and the witness found
-    onto the net with reversed numbering."""
+    """Random nets, as stored, one more trace of each, their normal forms as
+    ``net_to_json`` prints them, and the witness found onto the net with
+    reversed numbering."""
     with open(os.path.join(GOLDEN, "random-nets.json"), encoding="utf-8") as handle:
         cases = json.load(handle)
     for case in cases:
-        net = gen_random_net(GenParams(seed=case["seed"], signature=STD_SIG, max_operators=10))
+        net = net_from_json(case["net"])
         assert net_to_json(net) == case["net"]
         assert net_to_json(normalize(net).net) == case["normal"]
         if net.m and net.n:
@@ -275,6 +288,7 @@ def test_validation_reports_are_as_pinned(tmp_path):
 # ---------------------------------------------------------------------------
 
 SLOT_DICTS = os.path.join(GOLDEN, "slot-dicts.json")
+RANDOM_WIRINGS = os.path.join(GOLDEN, "random-net-wirings.json")
 
 
 def slot_dicts(net: Net) -> dict:
@@ -287,18 +301,23 @@ def slot_dicts(net: Net) -> dict:
 
 
 def slot_dict_nets() -> list[tuple[str, Net]]:
-    """Every net of ``fixtures/*.net`` as parsed, and ``gen_random_net`` for
-    seeds 0-99."""
+    """Every net of ``fixtures/*.net`` as parsed, and the random nets of
+    ``tests/golden/random-net-wirings.json`` built from their wiring."""
     nets = []
     for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.net"))):
         doc = parse_document(_read(path))
         nets += [(f"{os.path.basename(path)} {nd.name}", doc.net(nd.name)) for nd in doc.nets]
-    return nets + [(f"seed {seed}", gen_random_net(GenParams(seed=seed, signature=STD_SIG)))
-                   for seed in range(100)]
+    with open(RANDOM_WIRINGS, encoding="utf-8") as handle:
+        return nets + [(name, net_from_json(data)) for name, data in json.load(handle).items()]
 
 
 def write_slot_dicts() -> None:
-    """Write ``tests/golden/slot-dicts.json``."""
+    """Write ``tests/golden/random-net-wirings.json``, the ``net_to_json`` of
+    ``gen_random_net`` for seeds 0-99, and then ``tests/golden/slot-dicts.json``."""
+    with open(RANDOM_WIRINGS, "w", encoding="utf-8") as handle:
+        json.dump({f"seed {seed}": net_to_json(gen_random_net(GenParams(seed=seed, signature=STD_SIG)))
+                   for seed in range(100)}, handle, indent=1)
+        handle.write("\n")
     with open(SLOT_DICTS, "w", encoding="utf-8") as handle:
         json.dump({name: slot_dicts(net) for name, net in slot_dict_nets()}, handle, indent=1)
         handle.write("\n")
