@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .exprs import parse_expr
+from .exprs import _echo, parse_expr
 from .nstime import CtFn, DeltaSchedule, SamplingPeriod
 
 _SCHEDULE_HALVINGS = 4
@@ -50,7 +50,7 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"expected 'key = value', got {stripped!r}", line=number)
+            raise ConfigError(f"expected 'key = value', got {_echo(stripped)}", line=number)
         key, value = (part.strip() for part in stripped.split("=", 1))
 
         try:
@@ -65,14 +65,17 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
             elif key == "probes":
                 probes = tuple(_finite(v) for v in value.split(","))
             elif key.startswith("input."):
-                index = int(key[len("input."):])
+                try:
+                    index = int(key[len("input."):])
+                except ValueError:
+                    raise ValueError(f"invalid input index {_echo(key[len('input.'):])}") from None
                 after = raw[raw.index("=") + 1:]
                 value_col = len(raw) - len(after.lstrip()) + 1
                 inputs[index] = _parse_input(key, value, base_dir, number, value_col)
             else:
-                raise ConfigError(f"unknown key {key!r}", line=number)
+                raise ConfigError(f"unknown key {_echo(key)}", line=number)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", line=number) from None
+            raise ConfigError(f"bad value for {_echo(key)}: {exc}", line=number) from None
 
     if delta is None:
         raise ConfigError("missing required key 'delta'")
@@ -94,9 +97,12 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_echo(text)}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
+        raise ValueError(f"{_echo(text.strip())} is not a finite number")
     return value
 
 
@@ -104,7 +110,7 @@ def _parse_input(key: str, value: str, base_dir: str, line: int, col: int) -> Ct
     """The input ``value`` of config line ``line``, which starts at column
     ``col``; an expression error is located in that line."""
     if ":" not in value:
-        raise ConfigError(f"input needs 'expr:' or 'csv:' prefix, got {value!r}", line=line)
+        raise ConfigError(f"input needs 'expr:' or 'csv:' prefix, got {_echo(value)}", line=line)
     kind, payload = (part.strip() for part in value.split(":", 1))
     if kind == "expr":
         try:
@@ -116,7 +122,7 @@ def _parse_input(key: str, value: str, base_dir: str, line: int, col: int) -> Ct
     if kind == "csv":
         path = payload if os.path.isabs(payload) else os.path.join(base_dir, payload)
         return load_continuous_csv(path)
-    raise ConfigError(f"unknown input kind {kind!r}", line=line)
+    raise ConfigError(f"unknown input kind {_echo(kind)}", line=line)
 
 
 def load_continuous_csv(path: str) -> CtFn:

@@ -12,9 +12,9 @@ package targets (a few hundred ports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
-from .nets import Net, Slot, Wiring
+from .nets import Net, Wiring
 
 
 @dataclass(frozen=True)
@@ -37,30 +37,43 @@ class NetIso:
                       {x: other.op_map[y] for x, y in self.op_map.items()})
 
     def verify(self, a: Net, b: Net) -> bool:
-        """Direct check of every defining equation of a net isomorphism."""
-        if a.m != b.m or a.n != b.n:
+        """Direct check of every defining equation of a net isomorphism on the
+        two wirings: both maps are bijections, and every label, operator slot
+        and boundary port maps across.  False when the wiring of either net
+        cannot be built (a hand-built net with a port driven twice, say)."""
+        try:
+            wa, wb = a.wiring, b.wiring
+        except (KeyError, IndexError, TypeError, RuntimeError):
             return False
-        if set(self.port_map) != a.ports or set(self.port_map.values()) != b.ports:
+        pm, om = self.port_map, self.op_map
+        if ((a.m, a.n) != (b.m, b.n) or not _bijection(pm, wa.port_ids, wb.port_ids)
+                or not _bijection(om, wa.op_ids, wb.op_ids)):
             return False
-        if len(set(self.port_map.values())) != len(self.port_map):
-            return False
-        if set(self.op_map) != set(a.labels) or set(self.op_map.values()) != set(b.labels):
-            return False
-        if len(set(self.op_map.values())) != len(self.op_map):
-            return False
-        for x, y in self.op_map.items():
-            if a.labels[x] != b.labels[y]:
-                return False
-        mapped_src = {self._slot(s): self.port_map[p] for s, p in a.src.items()}
-        mapped_tgt = {self._slot(s): self.port_map[p] for s, p in a.tgt.items()}
-        return mapped_src == dict(b.src) and mapped_tgt == dict(b.tgt)
+        port, op = _rank(wb.port_ids), _rank(wb.op_ids)
+        rank = [port(pm[p]) for p in wa.port_ids]
 
-    def _slot(self, slot: Slot) -> Slot:
-        return (self.op_map[slot[0]], slot[1]) if isinstance(slot, tuple) else slot
+        def moved(ports: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(rank[p] for p in ports)
+
+        return (moved(wa.inputs) == wb.inputs and moved(wa.outputs) == wb.outputs
+                and all(wb.ops[op(om[x])] == (lab, moved(xi), moved(xo))
+                        for x, (lab, xi, xo) in zip(wa.op_ids, wa.ops)))
+
+
+def _bijection(mapping: Mapping[int, int], ids_a: Sequence[int], ids_b: Sequence[int]) -> bool:
+    """``mapping`` sends the ids ``ids_a`` one to one onto the ids ``ids_b``."""
+    return (len(mapping) == len(ids_b) and set(mapping) == set(ids_a)
+            and set(mapping.values()) == set(ids_b))
+
+
+def _rank(ids: Sequence[int]) -> Callable[[int], int]:
+    """The rank of each of the sorted ``ids``: its position."""
+    return ids.index if isinstance(ids, range) else {p: r for r, p in enumerate(ids)}.__getitem__
 
 
 def identity_iso(net: Net) -> NetIso:
-    return NetIso({p: p for p in net.ports}, {x: x for x in net.labels})
+    w = net.wiring
+    return NetIso({p: p for p in w.port_ids}, {x: x for x in w.op_ids})
 
 
 # ---------------------------------------------------------------------------

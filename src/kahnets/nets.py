@@ -15,13 +15,13 @@ readers (including none).
 A net is its wiring, ``Net.wiring``: a :class:`Wiring` that numbers
 operators and ports by rank (position in sorted order) and holds each
 operator's label, input ports and output ports, each port's driver slot and
-reader slots, and the ports of the boundary inputs and outputs.  Only
-:func:`validate` and the witness check ``NetIso.verify`` read the slot dicts
-instead.  A net built by the constructions below or read from the DSL holds
-only its wiring, and builds its slot dicts (``ports``, ``labels``, ``src``,
-``tgt``) from it when they are first read.  A net built by hand, ``Net(m, n, ports, labels, src, tgt)``,
-holds the slot dicts as given, however malformed, and groups them into its
-wiring on first use.
+reader slots, and the ports of the boundary inputs and outputs.  Within
+this package only :func:`validate` reads the slot dicts instead.  A net
+built by the constructions below or read from the DSL holds only its
+wiring, and builds its slot dicts (``ports``, ``labels``, ``src``, ``tgt``)
+from it when they are first read.  A net built by hand,
+``Net(m, n, ports, labels, src, tgt)``, holds the slot dicts as given,
+however malformed, and groups them into its wiring on first use.
 
 :func:`validate` checks the slot dicts alone.  It serves ``check`` and nets
 built by hand: no construction can build a port with two drivers (building

@@ -78,14 +78,14 @@ def redexes(net: Net) -> list[Redex]:
     """Every redex of the net, in a deterministic (lexicographic) order."""
     out: list[Redex] = []
     groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-    for x in net.operators:
+    for x in net.wiring.op_ids:
         groups.setdefault(_sharing_key(net, x), []).append(x)
     for key in sorted(groups, key=repr):
         members = groups[key]
         for i, x in enumerate(members):
             for y in members[i + 1:]:
                 out.append(Redex.sharing(x, y))
-    out += [Redex.erasing(x) for x in net.operators if _is_dead(net, x)]
+    out += [Redex.erasing(x) for x in net.wiring.op_ids if _is_dead(net, x)]
     return out
 
 
@@ -93,13 +93,13 @@ def apply_redex(net: Net, r: Redex) -> Net:
     """One rewriting step; the result has exactly one operator fewer."""
     if r.kind == "sharing":
         x, y = r.ops
-        if (x not in net.labels or y not in net.labels or x == y
+        if (x not in net.wiring.op_ids or y not in net.wiring.op_ids or x == y
                 or _sharing_key(net, x) != _sharing_key(net, y)):
             raise StaleRedex(f"sharing({x},{y}) does not match the net")
         return _remove(net, y, merge_into=x)
     if r.kind == "erasing":
         (x,) = r.ops
-        if x not in net.labels or not _is_dead(net, x):
+        if x not in net.wiring.op_ids or not _is_dead(net, x):
             raise StaleRedex(f"erasing({x}) does not match the net")
         return _remove(net, x)
     raise StaleRedex(f"unknown redex kind {r.kind!r}")
@@ -143,10 +143,11 @@ class SharedNet:
 
 def is_shared(net: Net) -> bool:
     """Normal-form predicate, stated directly rather than via redex search."""
-    keys = [_sharing_key(net, x) for x in net.operators]
+    ops = net.wiring.op_ids
+    keys = [_sharing_key(net, x) for x in ops]
     if len(set(keys)) != len(keys):
         return False
-    return not any(_is_dead(net, x) for x in net.operators)
+    return not any(_is_dead(net, x) for x in ops)
 
 
 def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:

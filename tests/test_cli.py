@@ -361,6 +361,24 @@ class TestConfigValues:
         assert err.startswith(f"error config-error: bad value for '{line.split()[0]}': ")
         assert err.endswith("is not a finite number (line 4)")
 
+    @pytest.mark.parametrize("line, message", [
+        ("x" * 3000, "expected 'key = value', got 'xxxxxxxx"),
+        ("input.0 = " + "x" * 3000, "input needs 'expr:' or 'csv:' prefix, got 'xxxxxxxx"),
+        ("input.0 = " + "x" * 3000 + ": t", "unknown input kind 'xxxxxxxx"),
+        ("x" * 3000 + " = 1", "unknown key 'xxxxxxxx"),
+        ("tol = " + "x" * 3000, "bad value for 'tol': could not convert string to float: 'xxxxxxxx"),
+        ("tol = " + "9" * 3000, "bad value for 'tol': '99999999"),  # float() gives inf
+        ("input." + "x" * 3000 + " = expr: t", "bad value for 'input.xxx"),
+    ], ids=["no-equals", "no-prefix", "input-kind", "key", "not-a-number", "not-finite", "index"])
+    def test_long_lines_are_clipped(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"delta = 0.01\ntmax = 0.5\n{line}\n")
+        assert len(line) >= 3000
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error config-error: {message}") and len(err) < 200
+        assert "..." in err and err.endswith(" (line 3)")
+
     @pytest.mark.parametrize("expr", ["(" * 5000 + "t" + ")" * 5000, "-" * 5000 + "t",
                                       "sin(" * 5000 + "t" + ")" * 5000],
                              ids=["parentheses", "minus-signs", "calls"])

@@ -45,6 +45,21 @@ def test_identity_witness():
     assert identity_iso(net).verify(net, net)
 
 
+def test_verify_is_false_when_a_wiring_cannot_be_built():
+    """Hand-built nets whose wiring cannot be built: two operators driving one
+    port, and an output reading an undeclared port.  Their slot dicts map onto
+    themselves under the identity, but they are not nets."""
+    two_drivers = Net(1, 1, {0, 1}, {0: "scale", 1: "scale"},
+                      {(0, 0): 0, (1, 0): 0, 0: 1}, {(0, 0): 1, (1, 0): 1, 0: 0})
+    dangling = Net(1, 1, {0}, {}, {0: 5}, {0: 0})
+    for bad in (two_drivers, dangling):
+        same = NetIso({p: p for p in bad.ports}, {x: x for x in bad.labels})
+        assert not same.verify(bad, bad)
+    good = build("paper_example")
+    assert not identity_iso(good).verify(good, two_drivers)
+    assert not identity_iso(good).verify(two_drivers, good)
+
+
 def test_identity2_vs_symmetry_exhaustively():
     a, b = identity(2), symmetry(1, 1)
     assert brute_force_iso(a, b) is None  # both of the 2 port bijections fail

@@ -11,11 +11,14 @@ from kahnets.laws import (ALL_AXIOMS, MONOIDAL_AXIOMS, NATURALITY_AXIOMS,
                           check_vanishing, check_yanking, run_suite)
 from kahnets.nets import Net
 from kahnets.stdnets import STD_SIG
-from kahnets.randnets import _has_undriven
 
 
 def params(seed: int = 0, **kw) -> GenParams:
     return GenParams(seed=seed, signature=STD_SIG, **kw)
+
+
+def _has_undriven(net: Net) -> bool:
+    return None in net.wiring.driver
 
 
 class TestGenerator:
@@ -30,9 +33,14 @@ class TestGenerator:
         assert validate(net, STD_SIG).ok
 
     def test_thousand_samples_validate(self):
+        sizes = set()
         for seed in range(1000):
             net = gen_random_net(params(seed))
             assert validate(net, STD_SIG).ok, f"seed {seed}"
+            big = gen_random_net(params(seed, max_operators=24))
+            assert validate(big, STD_SIG).ok, f"seed {seed}"
+            sizes.add(len(big.wiring.ops))
+        assert sizes == set(range(25))
 
     def test_distribution_covers_the_interesting_shapes(self):
         fanout = undriven = loops = 0
@@ -49,18 +57,23 @@ class TestGenerator:
 
     def test_undriven_free_mode(self):
         rng = random.Random(0)
-        for _ in range(200):
-            net = gen_net(rng, STD_SIG, rng.randint(1, 3), rng.randint(0, 3),
-                          allow_undriven=False)
+        for max_ops in (6, 12) * 100:
+            net = gen_net(rng, STD_SIG, rng.randint(0, 3), rng.randint(0, 3),
+                          max_ops=max_ops, allow_undriven=False)
             assert not _has_undriven(net)
             assert validate(net, STD_SIG).ok
 
     def test_loop_free_mode_has_no_operator_cycles(self):
         rng = random.Random(1)
-        for _ in range(200):
-            net = gen_net(rng, STD_SIG, rng.randint(1, 3), rng.randint(0, 3),
-                          allow_undriven=False, allow_loops=False)
+        for max_ops in (6, 12) * 100:
+            undriven = rng.random() < 0.5
+            net = gen_net(rng, STD_SIG, rng.randint(1, 3), rng.randint(0, 3), max_ops=max_ops,
+                          allow_undriven=undriven, allow_loops=False)
             assert not _operator_cycle(net)
+            assert undriven or not _has_undriven(net)
+        # Without a nullary symbol nothing can drive the first port.
+        with pytest.raises(ValueError):
+            gen_net(rng, STD_SIG, 0, 1, allow_undriven=False, allow_loops=False)
 
 
 def _operator_cycle(net: Net) -> bool:
