@@ -60,8 +60,8 @@ class NetDef:
         port with two drivers.  That net is built from slot dicts, for
         :func:`kahnets.nets.validate` to report; any other holds its wiring."""
         port = {p: i for i, p in enumerate(self.ports)}.__getitem__
-        ops = [(op.symbol, tuple(map(port, op.ins)), tuple(map(port, op.outs))) for op in self.ops]
-        inputs, outputs = tuple(map(port, self.inputs)), tuple(map(port, self.outputs))
+        ops = [(op.symbol, (*map(port, op.ins),), (*map(port, op.outs),)) for op in self.ops]
+        inputs, outputs = (*map(port, self.inputs),), (*map(port, self.outputs),)
         try:
             return _dense(ops, inputs, outputs, len(self.ports))
         except RuntimeError:  # a port with two drivers

@@ -2,16 +2,23 @@
 
 Two nets of the same arity are isomorphic when there are bijections of ports
 and operators preserving labels, all wiring, and the boundary attachment.
-Boundary attachment pins part of the port bijection outright; the rest is
-found by iterated invariant refinement (labels, slot positions, neighborhood
-colors) followed by a backtracking search inside the surviving color classes.
-The search is deterministic for fixed inputs and complete at the sizes this
-package targets (a few hundred ports).
+Two nets whose wirings are equal slot for slot are answered without a
+search: rank r goes to rank r, which is the witness the search finds on
+them.  Otherwise boundary attachment pins part of the port bijection
+outright; the rest is found by iterated invariant refinement (labels, slot
+positions, neighborhood colors) followed by a backtracking search inside the
+surviving color classes.  The refinement colors the disjoint union of both
+nets, so one color table per step serves both, and a class holding more of
+one net than of the other refuses at once.  The search is deterministic for
+fixed inputs and complete at the sizes this package targets (a few hundred
+ports).  Every witness is checked with :meth:`NetIso.verify` before it is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
 
 from .nets import Net, Wiring
@@ -53,7 +60,7 @@ class NetIso:
         rank = [port(pm[p]) for p in wa.port_ids]
 
         def moved(ports: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(rank[p] for p in ports)
+            return tuple([rank[p] for p in ports])
 
         return (moved(wa.inputs) == wb.inputs and moved(wa.outputs) == wb.outputs
                 and all(wb.ops[op(om[x])] == (lab, moved(xi), moved(xo))
@@ -80,72 +87,70 @@ def identity_iso(net: Net) -> NetIso:
 # Search
 # ---------------------------------------------------------------------------
 
-def _refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
+def _color(keys: list, half: int) -> Optional[tuple[list[int], int]]:
+    """The color of each key, numbered by first appearance, and the number
+    of colors; None unless every color is taken by as many of the first
+    ``half`` keys as of the rest."""
+    table: dict = {}
+    colors = [table.setdefault(key, len(table)) for key in keys]
+    balance = [0] * len(table)
+    for c in colors[:half]:
+        balance[c] += 1
+    for c in colors[half:]:
+        balance[c] -= 1
+    return None if any(balance) else (colors, len(table))
+
+
+def _refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int]]]:
     """Color ports and operators of both nets by iterated invariants.
 
-    Returns (port colors of a, of b, op colors of a, of b), indexed by rank, or
-    None when the color histograms already rule out an isomorphism.
+    The two nets are refined as one disjoint union, a's ranks first and then
+    b's, so one color table per step serves both.  Returns the port colors
+    and the operator colors of the union, or None as soon as some class
+    holds more ports or operators of one net than of the other.
     """
-    def canon(keys_a: list, keys_b: list) -> Optional[tuple[list[int], list[int]]]:
-        table = {key: i for i, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
-        ca, cb = [table[key] for key in keys_a], [table[key] for key in keys_b]
-        return (ca, cb) if sorted(ca) == sorted(cb) else None
+    np_, no = len(a.driver), len(a.ops)
+    ops: list = []  # per union operator: label, arity, input then output ports
+    drivers: list = []  # per union port: its driving operator slot, or None
+    readers: list = []  # per union port: the operator slots reading it
+    bound: list = []  # per union port: the boundary input entering it (-1 if none), the outputs reading it
+    for pshift, oshift, w in ((0, 0, a), (np_, no, b)):
+        ops += [(lab, len(xi), [p + pshift for p in xi + xo]) for lab, xi, xo in w.ops]
+        for d, rs in zip(w.driver, w.readers):
+            drivers.append((d[0] + oshift, d[1]) if d.__class__ is tuple else None)
+            readers.append([(s[0] + oshift, s[1]) for s in rs if s.__class__ is tuple])
+            bound.append((d if d.__class__ is int else -1, *[s for s in rs if s.__class__ is int]))
 
-    def boundary(w: Wiring) -> list:
-        """Per port: the boundary input entering it (-1 if none), the outputs reading it."""
-        return [(d if d.__class__ is int else -1, tuple(r for r in rs if r.__class__ is int))
-                for d, rs in zip(w.driver, w.readers)]
-
-    def slot(s, oc: list[int]) -> tuple[int, ...]:
-        """A driver or reader slot by the color of its operator; () for no driver."""
-        return () if s is None else (s,) if s.__class__ is int else (oc[s[0]], s[1])
-
-    def op_keys(w: Wiring, pc: list[int]) -> list:
-        return [(lab, tuple(pc[p] for p in xi), tuple(pc[p] for p in xo)) for lab, xi, xo in w.ops]
-
-    def port_keys(w: Wiring, pc: list[int], oc: list[int]) -> list:
-        return [(c, slot(d, oc), tuple(sorted(slot(r, oc) for r in rs)))
-                for c, d, rs in zip(pc, w.driver, w.readers)]
-
-    res = canon(boundary(a), boundary(b))
+    res = _color(bound, np_)
     if res is None:
         return None
-    pc_a, pc_b = res
-    res = canon([lab for lab, _, _ in a.ops], [lab for lab, _, _ in b.ops])
-    if res is None:
-        return None
-    oc_a, oc_b = res
-
-    for _ in range(len(a.driver) + len(a.ops) + 2):
-        res = canon(op_keys(a, pc_a), op_keys(b, pc_b))
+    pc, count = res
+    # Every later port color refines this first one, so a port's key below
+    # names only operator slots: its boundary slots are implied by its color.
+    while True:
+        res = _color([(lab, k, *map(pc.__getitem__, ps)) for lab, k, ps in ops], no)
         if res is None:
             return None
-        new_oc_a, new_oc_b = res
-        res = canon(port_keys(a, pc_a, new_oc_a), port_keys(b, pc_b, new_oc_b))
+        oc, width = res
+        # an operator slot (x, i) by the color of x and the position i
+        res = _color([(c, -1 if d is None else oc[d[0]] + d[1] * width,
+                        *sorted([oc[x] + i * width for x, i in rs]))
+                       for c, d, rs in zip(pc, drivers, readers)], np_)
         if res is None:
             return None
-        new_pc_a, new_pc_b = res
-
-        stable = (len(set(new_pc_a)) == len(set(pc_a))
-                  and len(set(new_oc_a)) == len(set(oc_a)))
-        pc_a, pc_b, oc_a, oc_b = new_pc_a, new_pc_b, new_oc_a, new_oc_b
-        if stable:
-            break
-    return pc_a, pc_b, oc_a, oc_b
+        pc, grown = res
+        if grown == count:  # the port classes are stable, so the next op step splits nothing
+            return pc, oc
+        count = grown
 
 
-def find_iso(a: Net, b: Net) -> Optional[NetIso]:
-    """A witness isomorphism from ``a`` onto ``b``, or None when none exists."""
-    if a.m != b.m or a.n != b.n:
-        return None
-    wa, wb = a.wiring, b.wiring
-    if len(wa.driver) != len(wb.driver) or len(wa.ops) != len(wb.ops):
-        return None
-    if sorted(lab for lab, _, _ in wa.ops) != sorted(lab for lab, _, _ in wb.ops):
-        return None
-
-    # Boundary attachment forces part of the port bijection.  The search runs
-    # on ranks, which order ports and operators as their ids do.
+def _search(wa: Wiring, wb: Wiring) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """The rank maps (ports, operators) of a witness from ``wa`` onto ``wb``,
+    or None when there is none.  Operators are bound fewest candidates first
+    (then by rank), each to the first candidate of its color, by rank, that
+    is still unused and whose ports bind, backtracking on failure; the ports
+    left over are paired in rank order within their color."""
+    # Boundary attachment forces part of the port bijection.
     forced: dict[int, int] = dict(zip(wa.inputs, wb.inputs))
     for pa, pb in zip(wa.outputs, wb.outputs):
         if forced.get(pa, pb) != pb:
@@ -157,81 +162,95 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
     colors = _refine(wa, wb)
     if colors is None:
         return None
-    pc_a, pc_b, oc_a, oc_b = colors
+    pc, oc = colors
+    np_, no = len(wa.driver), len(wa.ops)
+    pc_b = pc[np_:]
     for pa, pb in forced.items():
-        if pc_a[pa] != pc_b[pb]:
+        if pc[pa] != pc_b[pb]:
             return None
 
-    ops = range(len(wa.ops))
-    candidates = [[y for y in ops if oc_b[y] == oc_a[x]] for x in ops]
-    order = sorted(ops, key=lambda x: (len(candidates[x]), x))
+    same: dict[int, list[int]] = {}
+    for y in range(no):
+        same.setdefault(oc[no + y], []).append(y)
+    candidates = [same[oc[x]] for x in range(no)]
+    order = sorted(range(no), key=lambda x: (len(candidates[x]), x))
 
     pmap: dict[int, int] = dict(forced)
     pused: set[int] = set(forced.values())
     omap: dict[int, int] = {}
     oused: set[int] = set()
-
-    def bind_ports(pairs: list[tuple[int, int]], undo: list) -> bool:
-        for pa, pb in pairs:
-            cur = pmap.get(pa)
-            if cur is not None:
-                if cur != pb:
-                    return False
-                continue
-            if pb in pused or pc_a[pa] != pc_b[pb]:
-                return False
-            pmap[pa] = pb
-            pused.add(pb)
-            undo.append(pa)
-        return True
-
-    def solve(i: int) -> bool:
-        if i == len(order):
-            return finish()
+    stack: list[tuple[int, list[int]]] = []  # per bound operator: its candidate index, the ports it bound
+    i = start = 0
+    while i < len(order):
         x = order[i]
         _, ain, aout = wa.ops[x]
-        for y in candidates[x]:
+        cands = candidates[x]
+        for k in range(start, len(cands)):
+            y = cands[k]
             if y in oused:
                 continue
             _, bin_, bout = wb.ops[y]
-            pairs = list(zip(ain, bin_)) + list(zip(aout, bout))
             undo: list[int] = []
-            if bind_ports(pairs, undo):
+            for pa, pb in chain(zip(ain, bin_), zip(aout, bout)):
+                cur = pmap.get(pa)
+                if cur is None:
+                    if pb in pused or pc[pa] != pc_b[pb]:
+                        break
+                    pmap[pa] = pb
+                    pused.add(pb)
+                    undo.append(pa)
+                elif cur != pb:
+                    break
+            else:
                 omap[x] = y
                 oused.add(y)
-                if solve(i + 1):
-                    return True
-                del omap[x]
-                oused.discard(y)
+                stack.append((k, undo))
+                i, start = i + 1, 0
+                break
             for pa in undo:
                 pused.discard(pmap.pop(pa))
-        return False
+        else:  # no candidate binds: rebind the operator bound last to its next candidate
+            if not stack:
+                return None
+            i -= 1
+            start, undo = stack.pop()
+            start += 1
+            oused.discard(omap.pop(order[i]))
+            for pa in undo:
+                pused.discard(pmap.pop(pa))
 
-    def finish() -> bool:
-        # Ports left over are attached to nothing; pair them up within classes.
-        by_color: dict[int, list[int]] = {}
-        for p in range(len(wb.driver)):
-            if p not in pused:
-                by_color.setdefault(pc_b[p], []).append(p)
-        undo: list[int] = []
-        for p in range(len(wa.driver)):
-            if p in pmap:
-                continue
-            bucket = by_color.get(pc_a[p])
-            if not bucket:
-                for q in undo:
-                    pused.discard(pmap.pop(q))
-                return False
-            q = bucket.pop(0)
-            pmap[p] = q
-            pused.add(q)
-            undo.append(p)
-        return True
+    # Ports left over are attached to nothing; pair them up within classes.
+    # Every binding kept colors, and _refine balanced each class, so each
+    # class has as many ports left over in one net as in the other.
+    free: dict[int, list[int]] = {}
+    for q in range(np_):
+        if q not in pused:
+            free.setdefault(pc_b[q], []).append(q)
+    for p in range(np_):
+        if p not in pmap:
+            pmap[p] = free[pc[p]].pop(0)
+    return pmap, omap
 
-    if not solve(0):
+
+def find_iso(a: Net, b: Net) -> Optional[NetIso]:
+    """A witness isomorphism from ``a`` onto ``b``, or None when none exists."""
+    if a.m != b.m or a.n != b.n:
         return None
-    iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
-                 {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
+    wa, wb = a.wiring, b.wiring
+    if len(wa.driver) != len(wb.driver) or len(wa.ops) != len(wb.ops):
+        return None
+    if (wa.ops, wa.inputs, wa.outputs) == (wb.ops, wb.inputs, wb.outputs):
+        # Equal wirings: the search would color both nets alike, bind each
+        # operator to itself (its first unused candidate) and pair the ports
+        # left over in rank order, so it would map each rank to itself.
+        iso = NetIso(dict(zip(wa.port_ids, wb.port_ids)), dict(zip(wa.op_ids, wb.op_ids)))
+    else:
+        found = _search(wa, wb)
+        if found is None:
+            return None
+        pmap, omap = found
+        iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
+                     {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
     if not iso.verify(a, b):  # defensive: search invariants should guarantee this
         raise RuntimeError("internal error: candidate isomorphism failed verification")
     return iso

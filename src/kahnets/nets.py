@@ -229,6 +229,11 @@ def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
     """The wiring with these operators and boundary ports, adding each port's
     driver and readers.  Raises ``RuntimeError`` when two slots drive one
     port, which no valid net has."""
+    # Tuples here and in the constructions are built from lists or starred
+    # displays, never as ``tuple(<iterator>)``: CPython 3.11 gives that 10
+    # slots and shrinks it, so each such tuple leaves the size-10 free list
+    # and is freed onto the list of its own size, which grows until a full
+    # collection trims it.
     driver: list[Optional[Slot]] = [None] * len(port_ids)
     readers: list[list[Slot]] = [[] for _ in port_ids]
     driving = len(inputs)
@@ -244,7 +249,7 @@ def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
         readers[p].append(k)
     if driving != len(driver) - driver.count(None):
         raise RuntimeError("tgt is not injective: some port has two drivers")
-    return Wiring(ops, tuple(driver), tuple(map(tuple, readers)), inputs, outputs, op_ids, port_ids)
+    return Wiring(ops, tuple(driver), (*map(tuple, readers),), inputs, outputs, op_ids, port_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
         w = net.wiring
         shift = base.__add__
         ops += (w.ops if not base else
-                [(lab, tuple(map(shift, xi)), tuple(map(shift, xo))) for lab, xi, xo in w.ops])
+                [(lab, (*map(shift, xi),), (*map(shift, xo),)) for lab, xi, xo in w.ops])
         keep += [base + p for p, d in enumerate(w.driver) if d is None and not w.readers[p]]
         union_in += map(shift, w.inputs)
         union_out += map(shift, w.outputs)
@@ -395,8 +400,8 @@ def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
     port = {p: number[find(p)] for p in used} if rep else number
     new = port.__getitem__
 
-    return _dense([(lab, tuple(map(new, xi)), tuple(map(new, xo))) for lab, xi, xo in ops],
-                  tuple(map(new, inputs)), tuple(map(new, outputs)), len(number))
+    return _dense([(lab, (*map(new, xi),), (*map(new, xo),)) for lab, xi, xo in ops],
+                  (*map(new, inputs),), (*map(new, outputs),), len(number))
 
 
 def _dense(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], inputs: Iterable[int],

@@ -74,7 +74,7 @@ def gen_net(rng: random.Random, sig: Signature, m: int, n: int, *, max_ops: int 
             return size - 1
         return rng.choice(ports)
 
-    ops = [(name, tuple(read(driven if allow_loops else range(start)) for _ in range(sig.arity(name))),
+    ops = [(name, tuple([read(driven if allow_loops else range(start)) for _ in range(sig.arity(name))]),
             tuple(range(start, start + sig.coarity(name)))) for name, start in zip(names, starts)]
     outputs = [read(driven) for _ in range(n)]
     return _dense(ops, range(m), outputs, size)

@@ -66,7 +66,7 @@ class Redex:
 def _sharing_key(net: Net, x: int) -> tuple[str, tuple[int, ...]]:
     w = net.wiring
     label, xi, _ = w.ops[w.op_rank(x)]
-    return (label, tuple(w.port_ids[p] for p in xi))
+    return (label, tuple([w.port_ids[p] for p in xi]))
 
 
 def _is_dead(net: Net, x: int) -> bool:
@@ -198,7 +198,7 @@ def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
         x = work.pop()
         if not alive[x]:
             continue
-        k = (ops[x][0], tuple(map(find, ops[x][1])))
+        k = (ops[x][0], (*map(find, ops[x][1]),))
         if key[x] == k:
             continue
         if key[x] is not None:

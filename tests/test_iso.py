@@ -1,11 +1,21 @@
-"""Isomorphism search, cross-checked against a brute-force oracle."""
+"""Isomorphism search, cross-checked against a brute-force oracle, and color
+refinement cross-checked against the two-table refinement it replaced."""
 
+import gc
+import glob
+import json
+import os
 import random
+import sys
 from itertools import permutations
+from typing import Optional
 
-from kahnets import GenParams, Net, find_iso, gen_random_net, identity, symmetry
-from kahnets.iso import NetIso, identity_iso
+from kahnets import GenParams, Net, find_iso, gen_random_net, identity, laws, symmetry
+from kahnets.dsl import parse_document
+from kahnets.iso import NetIso, _refine, _search, identity_iso
+from kahnets.nets import Wiring, _dense
 from kahnets.stdnets import STD_SIG, build
+from test_golden import GOLDEN, ROOT, net_from_json
 
 
 def brute_force_iso(a: Net, b: Net):
@@ -117,3 +127,175 @@ def test_larger_net_roundtrip():
         shuffled = permute_ports(net, seed)
         w = find_iso(net, shuffled)
         assert w is not None and w.verify(net, shuffled)
+
+
+def test_a_search_leaves_no_garbage():
+    """A witness found by the search and a refusal free everything they built
+    as soon as they return: no reference cycle waits for the collector."""
+    with open(os.path.join(ROOT, "fixtures", "paper_example.net"), encoding="utf-8") as handle:
+        main = parse_document(handle.read()).net("main")
+    shuffled = permute_ports(main, 1)
+    assert main.wiring != shuffled.wiring
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert find_iso(main, shuffled) is not None
+        assert find_iso(identity(2), symmetry(1, 1)) is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_search_binds_more_operators_than_the_recursion_limit():
+    """A ring of more operators than Python's recursion limit against the
+    same ring with its ports rotated: the search binds them all."""
+    k = sys.getrecursionlimit() + 200
+    ring = _dense([("iota", (x,), ((x + 1) % k,)) for x in range(k)], (), (), k)
+    rotated = _dense([("iota", ((x + 1) % k,), ((x + 2) % k,)) for x in range(k)], (), (), k)
+    w = find_iso(ring, rotated)
+    assert w is not None and w.port_map[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# The equal-wiring shortcut against the search
+# ---------------------------------------------------------------------------
+
+def test_the_search_maps_equal_wirings_rank_to_rank():
+    """``find_iso`` answers two equal wirings with rank -> rank without a
+    search; on ``(w, w)`` the search itself gives the same, on every fixture
+    net, the stored random nets and random nets of up to 24 operators."""
+    nets = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.net"))):
+        with open(path, encoding="utf-8") as handle:
+            doc = parse_document(handle.read())
+        nets += [doc.net(nd.name) for nd in doc.nets]
+    with open(os.path.join(GOLDEN, "random-nets.json"), encoding="utf-8") as handle:
+        stored = [net_from_json(case["net"]) for case in json.load(handle)]
+    assert len(stored) == 60
+    nets += stored
+    nets += [gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=24))
+             for seed in range(1000)]
+    for net in nets:
+        w = net.wiring
+        ports, ops = range(len(w.driver)), range(len(w.ops))
+        assert _search(w, w) == (dict(zip(ports, ports)), dict(zip(ops, ops)))
+
+
+# ---------------------------------------------------------------------------
+# Colour refinement against the reference
+# ---------------------------------------------------------------------------
+
+def reference_refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
+    """Colour refinement as it was done with two tables per step: each net
+    keyed apart, colors numbered by the sorted union of keys, and sorted
+    histograms compared.  Returns (port colors of a, of b, op colors of a,
+    of b), or None when the histograms already rule out an isomorphism."""
+    def canon(keys_a: list, keys_b: list) -> Optional[tuple[list[int], list[int]]]:
+        table = {key: i for i, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
+        ca, cb = [table[key] for key in keys_a], [table[key] for key in keys_b]
+        return (ca, cb) if sorted(ca) == sorted(cb) else None
+
+    def boundary(w: Wiring) -> list:
+        """Per port: the boundary input entering it (-1 if none), the outputs reading it."""
+        return [(d if d.__class__ is int else -1, tuple(r for r in rs if r.__class__ is int))
+                for d, rs in zip(w.driver, w.readers)]
+
+    def slot(s, oc: list[int]) -> tuple[int, ...]:
+        """A driver or reader slot by the color of its operator; () for no driver."""
+        return () if s is None else (s,) if s.__class__ is int else (oc[s[0]], s[1])
+
+    def op_keys(w: Wiring, pc: list[int]) -> list:
+        return [(lab, tuple(pc[p] for p in xi), tuple(pc[p] for p in xo)) for lab, xi, xo in w.ops]
+
+    def port_keys(w: Wiring, pc: list[int], oc: list[int]) -> list:
+        return [(c, slot(d, oc), tuple(sorted(slot(r, oc) for r in rs)))
+                for c, d, rs in zip(pc, w.driver, w.readers)]
+
+    res = canon(boundary(a), boundary(b))
+    if res is None:
+        return None
+    pc_a, pc_b = res
+    res = canon([lab for lab, _, _ in a.ops], [lab for lab, _, _ in b.ops])
+    if res is None:
+        return None
+    oc_a, oc_b = res
+
+    for _ in range(len(a.driver) + len(a.ops) + 2):
+        res = canon(op_keys(a, pc_a), op_keys(b, pc_b))
+        if res is None:
+            return None
+        new_oc_a, new_oc_b = res
+        res = canon(port_keys(a, pc_a, new_oc_a), port_keys(b, pc_b, new_oc_b))
+        if res is None:
+            return None
+        new_pc_a, new_pc_b = res
+
+        stable = (len(set(new_pc_a)) == len(set(pc_a))
+                  and len(set(new_oc_a)) == len(set(oc_a)))
+        pc_a, pc_b, oc_a, oc_b = new_pc_a, new_pc_b, new_oc_a, new_oc_b
+        if stable:
+            break
+    return pc_a, pc_b, oc_a, oc_b
+
+
+def classes(colors: list[int]) -> list[int]:
+    """The partition the colors induce, as colors numbered by first appearance."""
+    table: dict[int, int] = {}
+    return [table.setdefault(c, len(table)) for c in colors]
+
+
+def assert_refines_as_reference(a: Net, b: Net) -> bool:
+    """Both refinements agree on whether to refuse, and otherwise partition
+    the ports and the operators of both nets alike.  True when not refused."""
+    wa, wb = a.wiring, b.wiring
+    got, want = _refine(wa, wb), reference_refine(wa, wb)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    pc_a, pc_b, oc_a, oc_b = want
+    assert classes(got[0]) == classes(pc_a + pc_b)
+    assert classes(got[1]) == classes(oc_a + oc_b)
+    return True
+
+
+def test_refinement_agrees_with_the_reference_on_the_law_suites(monkeypatch):
+    """Every pair that ``find_iso`` compares in the law suites, seeds 0-2."""
+    seen = []
+
+    def recording(a: Net, b: Net):
+        seen.append((a, b))
+        return find_iso(a, b)
+
+    monkeypatch.setattr(laws, "find_iso", recording)
+    for seed in range(3):
+        for axiom in laws.ALL_AXIOMS:
+            assert laws.run_suite(axiom, GenParams(seed=seed, signature=STD_SIG), 40).ok
+    assert len(seen) == 3 * (len(laws.ALL_AXIOMS) + 2) * 40  # the unit laws compare twice
+    for a, b in seen:
+        assert_refines_as_reference(a, b)
+
+
+def rewired(net: Net, rng: random.Random) -> Net:
+    """The net with one reading slot moved to another port, ports shuffled."""
+    src = dict(net.src)
+    if src:
+        src[rng.choice(sorted(src, key=repr))] = rng.choice(sorted(net.ports))
+    moved = Net(net.m, net.n, net.ports, net.labels, src, net.tgt)
+    return permute_ports(moved, rng.randrange(1000))
+
+
+def test_refinement_agrees_with_the_reference_on_random_pairs():
+    """2,000 pairs of random nets: each against a copy with shuffled ports,
+    and against a copy with one slot rewired, most of which are not
+    isomorphic."""
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for seed in range(1000):
+        net = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=12))
+        assert assert_refines_as_reference(net, permute_ports(net, seed))
+        other = rewired(net, rng)
+        assert_refines_as_reference(net, other)
+        outcomes[find_iso(net, other) is not None] += 1
+    assert outcomes[False] > 800
