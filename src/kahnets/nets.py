@@ -31,6 +31,13 @@ All construction functions return dense nets, whose ports and operators are
 numbered ``0..k-1`` in a deterministic order, so results are reproducible
 bit-for-bit and their ranks are their ids.  Nets are immutable; every
 operation builds a fresh net.
+
+:func:`compose`, :func:`tensor` and :func:`trace` number the union of their
+operands' wirings directly, operand after operand.  Only the boundary ports
+an operation glues can merge or lose their last reference; every other port
+keeps its references, or stays floating as it was in its own net.  So they
+number exactly as :func:`renumbered` would, which serves ``rewrite`` and the
+tests.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityMismatch, ArityTooSmall, UnknownKind, UnknownSymbol
 
@@ -363,6 +370,9 @@ def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
     Feedback of an identity wire would otherwise leave behind a floating port
     that nothing can observe, breaking equations such as
     ``trace(identity(n1+n), n) = id``.
+
+    It serves ``rewrite`` and the tests; the constructions below compute the
+    same numbering directly.
     """
     ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     keep: list[int] = []
@@ -420,8 +430,15 @@ def _dense(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], inputs: 
 # Constructions
 # ---------------------------------------------------------------------------
 
+def _widths(kind: str, *widths: int) -> None:
+    """Raise ``ArityMismatch`` when a width is negative."""
+    if min(widths) < 0:
+        raise ArityMismatch(f"{kind} of a negative width: {', '.join(map(str, widths))}")
+
+
 def identity(n: int) -> Net:
     """The identity net: n ports wired straight through."""
+    _widths("identity", n)
     return _dense((), range(n), range(n), n)
 
 
@@ -438,21 +455,25 @@ def generator(sig: Signature, name: str) -> Net:
 
 def symmetry(m: int, n: int) -> Net:
     """The wire crossing m+n -> n+m."""
+    _widths("symmetry", m, n)
     return _dense((), range(m + n), [*range(m, m + n), *range(m)], m + n)
 
 
 def duplication(n: int) -> Net:
     """The fan-out net n -> 2n: both output groups read the same n ports."""
+    _widths("duplication", n)
     return _dense((), range(n), [*range(n), *range(n)], n)
 
 
 def erasure(n: int) -> Net:
     """The discarding net n -> 0: inputs arrive and are read by nothing."""
+    _widths("erasure", n)
     return _dense((), range(n), (), n)
 
 
 def projection(m: int, n: int) -> Net:
     """The net m+n -> m keeping the first m wires and discarding the last n."""
+    _widths("projection", m, n)
     return _dense((), range(m + n), range(m), m + n)
 
 
@@ -477,22 +498,80 @@ def structural(sig: Signature, kind: str, *params) -> Net:
     return fn(sig, *params)
 
 
+def _mapped(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]],
+            new: Callable[[int], int]) -> list[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    return [(lab, (*map(new, xi),), (*map(new, xo),)) for lab, xi, xo in ops]
+
+
+def _kept(w: Wiring, p: int, m: int, n: int) -> bool:
+    """Whether a slot other than boundary inputs ``m..`` and outputs ``n..``
+    references port ``p`` of ``w``."""
+    d = w.driver[p]
+    return ((d is not None and (d.__class__ is tuple or d < m))
+            or any(r.__class__ is tuple or r < n for r in w.readers[p]))
+
+
+def _glued(size: int, glue: Iterable[tuple[int, int]],
+           live: Callable[[int], bool]) -> tuple[list[Optional[int]], int]:
+    """The new number of each of the ports ``0..size-1`` (``None`` if it is
+    dropped) once the two ports of each ``glue`` pair are one, and how many
+    ports are left.  A class takes the place of its smallest member and is
+    dropped when ``live`` holds for none of its members."""
+    rep: dict[int, int] = {}  # union-find; the smallest member is the root
+
+    def find(p: int) -> int:
+        while p in rep:
+            q = rep[p]
+            rep[p] = p = rep.get(q, q)  # path halving
+        return p
+
+    members: list[int] = []
+    for p, q in glue:
+        members += (p, q)
+        p, q = find(p), find(q)
+        if p != q:
+            rep[max(p, q)] = min(p, q)
+    dropped = {*members}  # less the roots of the live classes
+    for p in members:
+        r = find(p)
+        if r in dropped and live(p):
+            dropped.remove(r)
+    new: list[Optional[int]] = []
+    for i, p in enumerate(sorted(dropped)):  # the ports below p keep their place, less i
+        new += [*range(len(new) - i, p - i), None]
+    new += range(len(new) - len(dropped), size - len(dropped))
+    for p in rep:
+        new[p] = new[find(p)]
+    return new, size - len(dropped)
+
+
 def compose(a: Net, b: Net) -> Net:
     """Diagrammatic composition: feed a's outputs into b's inputs.
 
-    Ports are the quotient of the disjoint union by gluing a.out(k) ~ b.in(k).
+    Ports are the quotient of the disjoint union by gluing a.out(k) ~ b.in(k);
+    b's inputs are distinct, so a's ports keep their numbers unless one is
+    orphaned.
     """
     if a.n != b.m:
         raise ArityMismatch(f"compose: {a.n} outputs cannot feed {b.m} inputs")
     wa, wb = a.wiring, b.wiring
-    po = len(wa.driver)
-    return renumbered(a, b, inputs=wa.inputs, outputs=[p + po for p in wb.outputs],
-                      glue=zip(wa.outputs, [p + po for p in wb.inputs]))
+    pa = len(wa.driver)
+    new, size = _glued(pa + len(wb.driver), zip(wa.outputs, [pa + q for q in wb.inputs]),
+                       lambda p: _kept(wa, p, a.m, 0) if p < pa else bool(wb.readers[p - pa]))
+    ops, inputs = wa.ops, wa.inputs
+    if new[:pa] != [*range(pa)]:
+        ops, inputs = _mapped(ops, new.__getitem__), [*map(new.__getitem__, inputs)]
+    newb = new[pa:].__getitem__
+    return _dense([*ops, *_mapped(wb.ops, newb)], inputs, [*map(newb, wb.outputs)], size)
 
 
 def tensor(a: Net, b: Net) -> Net:
-    """Parallel (side-by-side) composition; b's boundary indices are offset."""
-    return renumbered(a, b)
+    """Parallel (side-by-side) composition; b's ports and boundary indices are offset."""
+    wa, wb = a.wiring, b.wiring
+    pa = len(wa.driver)
+    shift = pa.__add__
+    return _dense([*wa.ops, *_mapped(wb.ops, shift)], [*wa.inputs, *map(shift, wb.inputs)],
+                  [*wa.outputs, *map(shift, wb.outputs)], pa + len(wb.driver))
 
 
 def trace(net: Net, x: int) -> Net:
@@ -501,8 +580,11 @@ def trace(net: Net, x: int) -> Net:
     Port classes are generated by out(n2+k) ~ in(n1+k); boundary maps restrict
     to the surviving indices and pass through the quotient.
     """
+    _widths("trace", x)
     if net.m < x or net.n < x:
         raise ArityTooSmall(f"trace over {x} needs arities >= {x}, got {net.m}->{net.n}")
     w, n1, n2 = net.wiring, net.m - x, net.n - x
-    return renumbered(net, inputs=w.inputs[:n1], outputs=w.outputs[:n2],
-                      glue=zip(w.outputs[n2:], w.inputs[n1:]))
+    new, size = _glued(len(w.driver), zip(w.outputs[n2:], w.inputs[n1:]),
+                       lambda p: _kept(w, p, n1, n2))
+    new = new.__getitem__
+    return _dense(_mapped(w.ops, new), [*map(new, w.inputs[:n1])], [*map(new, w.outputs[:n2])], size)

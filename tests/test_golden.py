@@ -103,64 +103,12 @@ def test_constructions_and_witnesses_are_as_before():
 # Witnesses between big nets, pinned slot for slot
 # ---------------------------------------------------------------------------
 
+#: 24 stored pairs of nets, each named after how it was drawn: random nets
+#: of 22 to 124 operators against a copy with permuted ports; closed nets of
+#: several identical components, and rings of same-label operators, against
+#: shuffled copies (two of these pairs are not isomorphic, and only the
+#: search tells them apart); and pairs of equal wirings.
 ISO_BIG = os.path.join(GOLDEN, "iso-big.json")
-
-
-def shuffled(net: Net, seed: int) -> Net:
-    """The same net with its port and its operator ids shuffled."""
-    rng = random.Random(seed)
-    ports, ops = sorted(net.ports), sorted(net.labels)
-    pmap = dict(zip(ports, rng.sample(ports, len(ports))))
-    omap = dict(zip(ops, rng.sample(ops, len(ops))))
-
-    def slot(s):
-        return (omap[s[0]], s[1]) if isinstance(s, tuple) else s
-
-    return Net(net.m, net.n, net.ports, {omap[x]: lab for x, lab in net.labels.items()},
-               {slot(s): pmap[p] for s, p in net.src.items()},
-               {slot(s): pmap[p] for s, p in net.tgt.items()})
-
-
-def rings(label: str, *sizes: int) -> Net:
-    """Closed cycles of 1 -> 1 operators ``label``, one of each size, and no
-    boundary: color refinement gives every operator one color, so only the
-    search tells one ring of 12 from two rings of 6."""
-    ops, base = [], 0
-    for k in sizes:
-        ops += [(label, (base + x,), (base + (x + 1) % k,)) for x in range(k)]
-        base += k
-    return _dense(ops, (), (), base)
-
-
-def iso_big_pairs() -> list[tuple[str, Net, Net]]:
-    """The pairs of ``iso-big.json``: random nets drawn at ``max_operators``
-    32 to 128, holding at least half that many operators, against a
-    ``permute_ports`` copy, closed nets of several identical
-    components (the search chooses among same-colored candidates, and
-    rings of equal total size are told apart only by the search), and
-    pairs of equal wirings."""
-    from test_iso import permute_ports
-
-    def big(max_ops: int, count: int, **kw):
-        """The first ``count`` seeds whose net holds at least ``max_ops // 2``
-        operators, with their nets."""
-        found = ((seed, gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=max_ops,
-                                                 **kw))) for seed in range(100))
-        return [(seed, net) for seed, net in found if len(net.labels) >= max_ops // 2][:count]
-
-    pairs = [(f"random {max_ops} seed {seed}", net, permute_ports(net, seed))
-             for max_ops in (32, 48, 64, 96, 128) for seed, net in big(max_ops, 3, max_boundary=4)]
-    for seed in range(3):
-        part = gen_random_net(GenParams(seed=seed + 40, signature=STD_SIG, max_operators=10,
-                                        max_boundary=0))
-        copies = tensor(tensor(part, part), tensor(part, part))
-        pairs.append((f"four copies seed {seed}", copies, shuffled(copies, seed)))
-    pairs += [("ring 12", rings("iota", 12), shuffled(rings("iota", 12), 1)),
-              ("rings 6 6 against 12", rings("iota", 6, 6), rings("iota", 12)),
-              ("rings 4 4 4 against 6 6", rings("scale", 4, 4, 4), shuffled(rings("scale", 6, 6), 2))]
-    pairs += [(f"equal random 128 seed {seed}", net, net) for seed, net in big(128, 2)]
-    pairs.append(("equal four copies", copies, net_from_json(net_to_json(copies))))
-    return pairs
 
 
 def iso_json(a: Net, b: Net):
@@ -172,10 +120,13 @@ def iso_json(a: Net, b: Net):
 
 
 def write_iso_big() -> None:
-    """Write ``tests/golden/iso-big.json``, one pair a line."""
-    lines = [json.dumps({"name": name, "a": net_to_json(a), "b": net_to_json(b), "iso": iso_json(a, b)},
+    """Write the witness of each stored pair of ``tests/golden/iso-big.json``
+    into its ``iso`` field, one pair a line; the nets are kept as stored."""
+    with open(ISO_BIG, encoding="utf-8") as handle:
+        cases = json.load(handle)
+    lines = [json.dumps({**case, "iso": iso_json(net_from_json(case["a"]), net_from_json(case["b"]))},
                         separators=(",", ":"))
-             for name, a, b in iso_big_pairs()]
+             for case in cases]
     with open(ISO_BIG, "w", encoding="utf-8") as handle:
         handle.write("[\n" + ",\n".join(lines) + "\n]\n")
 
@@ -404,12 +355,8 @@ def slot_dict_nets() -> list[tuple[str, Net]]:
 
 
 def write_slot_dicts() -> None:
-    """Write ``tests/golden/random-net-wirings.json``, the ``net_to_json`` of
-    ``gen_random_net`` for seeds 0-99, and then ``tests/golden/slot-dicts.json``."""
-    with open(RANDOM_WIRINGS, "w", encoding="utf-8") as handle:
-        json.dump({f"seed {seed}": net_to_json(gen_random_net(GenParams(seed=seed, signature=STD_SIG)))
-                   for seed in range(100)}, handle, indent=1)
-        handle.write("\n")
+    """Write ``tests/golden/slot-dicts.json`` from the nets of
+    :func:`slot_dict_nets`; the stored wirings they read are kept as they are."""
     with open(SLOT_DICTS, "w", encoding="utf-8") as handle:
         json.dump({name: slot_dicts(net) for name, net in slot_dict_nets()}, handle, indent=1)
         handle.write("\n")

@@ -1,5 +1,6 @@
 """Core net IR: validation, constructions, and their categorical equations."""
 
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -8,7 +9,10 @@ from kahnets import (ArityMismatch, ArityTooSmall, GenParams, Net, UnknownKind,
                      UnknownSymbol, compose, duplication, erasure, find_iso,
                      gen_random_net, generator, identity, projection,
                      structural, symmetry, tensor, trace, validate)
-from kahnets.nets import _dense
+from kahnets import nets
+from kahnets.dsl import parse_document
+from kahnets.nets import _dense, renumbered
+from kahnets.randnets import gen_net
 from kahnets.stdnets import STD_SIG, build
 
 #: The slot dicts a net built from its wiring makes only when they are read.
@@ -142,6 +146,128 @@ class TestTrace:
     def test_arity_too_small(self):
         with pytest.raises(ArityTooSmall):
             trace(identity(1), 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity(-1), lambda: symmetry(-1, 2), lambda: symmetry(2, -1),
+    lambda: duplication(-1), lambda: erasure(-1), lambda: projection(2, -1),
+    lambda: projection(-1, 2), lambda: trace(generator(STD_SIG, "beta"), -1),
+], ids=["identity", "symmetry-left", "symmetry-right", "duplication", "erasure",
+        "projection-right", "projection-left", "trace"])
+def test_negative_widths_are_refused(build):
+    with pytest.raises(ArityMismatch, match="negative width"):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# compose, tensor and trace against the same union rebuilt by renumbered
+# ---------------------------------------------------------------------------
+
+def renumbered_compose(a: Net, b: Net) -> Net:
+    wa, wb = a.wiring, b.wiring
+    po = len(wa.driver)
+    return renumbered(a, b, inputs=wa.inputs, outputs=[p + po for p in wb.outputs],
+                      glue=zip(wa.outputs, [p + po for p in wb.inputs]))
+
+
+def renumbered_trace(net: Net, x: int) -> Net:
+    w, n1, n2 = net.wiring, net.m - x, net.n - x
+    return renumbered(net, inputs=w.inputs[:n1], outputs=w.outputs[:n2],
+                      glue=zip(w.outputs[n2:], w.inputs[n1:]))
+
+
+def into(k: int) -> list[Net]:
+    """Structural nets with k outputs."""
+    found = [identity(k), projection(k, 1), *(symmetry(j, k - j) for j in range(k + 1))]
+    return found + ([duplication(k // 2)] if k % 2 == 0 else []) + ([erasure(2)] if k == 0 else [])
+
+
+def out_of(k: int) -> list[Net]:
+    """Structural nets with k inputs."""
+    return [identity(k), erasure(k), duplication(k)] + ([symmetry(1, k - 1), projection(k - 1, 1)]
+                                                        if k else [])
+
+
+def assert_as_renumbered(a: Net, b: Net, structurals: bool = True) -> None:
+    """``tensor(a, b)``, ``compose(a, b)`` when the arities meet, every trace
+    of ``a`` and, unless ``structurals`` is false, ``a`` composed with
+    structural nets on either side have the wiring, slot for slot, of the
+    same renumbered union."""
+    pairs = [(tensor(a, b), renumbered(a, b))]
+    if a.n == b.m:
+        pairs.append((compose(a, b), renumbered_compose(a, b)))
+    pairs += [(trace(a, x), renumbered_trace(a, x)) for x in range(min(a.m, a.n) + 1)]
+    if structurals:
+        pairs += [(compose(a, s), renumbered_compose(a, s)) for s in out_of(a.n)]
+        pairs += [(compose(s, a), renumbered_compose(s, a)) for s in into(a.m)]
+    for got, expected in pairs:
+        assert got.wiring == expected.wiring
+
+
+#: A net whose port ``r`` is declared and referenced by nothing.
+FLOATING = parse_document("sig f 1 1\nnet n : 1 -> 2\n  ports p q r\n  op x f (p) -> (q)\n"
+                          "  in p\n  out q p\n").net("n")
+
+
+class TestConstructionsWithoutRenumbering:
+    def test_random_pairs(self):
+        # Random nets with undriven ports and loops, each composed with a
+        # random net of matching arity.
+        rng = random.Random(10)
+        for k in range(5000):
+            ops = rng.choice((0, 2, 4, 8))
+            a = gen_net(rng, STD_SIG, rng.randint(0, 3), rng.randint(0, 3), max_ops=ops)
+            b = gen_net(rng, STD_SIG, a.n, rng.randint(0, 3), max_ops=ops)
+            assert_as_renumbered(a, b, structurals=k % 5 == 0)
+
+    def test_wide_traces(self):
+        # Wide boundaries, so that glued classes chain and merge.
+        rng = random.Random(13)
+        for _ in range(100):
+            a = gen_net(rng, STD_SIG, rng.randint(8, 24), rng.randint(8, 24), max_ops=8)
+            assert_as_renumbered(a, identity(0), structurals=False)
+
+    def test_sparse_and_floating_operands(self):
+        from test_golden import sparse
+        rng = random.Random(11)
+        for seed in range(150):
+            a = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=8))
+            b = gen_random_net(GenParams(seed=seed + 1000, signature=STD_SIG, max_operators=8))
+            sa = sparse(a, rng)  # ports at 3p+1 or 3p+2; port 0 floats
+            sa = Net(sa.m, sa.n, sa.ports | {0}, sa.labels, sa.src, sa.tgt)
+            sb = sparse(b, rng)
+            assert_as_renumbered(sa, sb)
+            assert_as_renumbered(sb, sa)
+            assert_as_renumbered(FLOATING, sa)
+            assert_as_renumbered(sa, FLOATING)
+        assert len(compose(identity(1), FLOATING).ports) == 3
+
+    def test_orphaned_classes(self):
+        # An undriven port read only by a's output, fed into an unread input
+        # of b: the class is dropped.
+        undriven = Net(0, 1, {0}, {}, {0: 0}, {})
+        assert_as_renumbered(undriven, erasure(1))
+        assert len(compose(undriven, erasure(1)).ports) == 0
+        # The same with a port after it, so a's numbers shift.
+        shifted = tensor(undriven, generator(STD_SIG, "iota"))
+        assert_as_renumbered(shifted, tensor(erasure(1), identity(1)))
+        assert compose(shifted, tensor(erasure(1), identity(1))).wiring.ops == (
+            ("iota", (0,), (1,)),)
+        # A traced identity wire leaves nothing behind.
+        for net in (identity(2), symmetry(1, 1), duplication(1), tensor(undriven, identity(1))):
+            assert_as_renumbered(net, net)
+        assert len(trace(identity(2), 1).ports) == 1
+
+    def test_no_renumbering(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nets, "renumbered", lambda *args, **kw: calls.append(args))
+        rng = random.Random(12)
+        for _ in range(200):
+            a = gen_net(rng, STD_SIG, rng.randint(0, 3), rng.randint(1, 3), max_ops=4)
+            b = gen_net(rng, STD_SIG, a.n, rng.randint(0, 3), max_ops=4)
+            compose(a, b), tensor(a, b), trace(a, min(a.m, a.n))
+        compose(FLOATING, erasure(2)), trace(identity(2), 1)
+        assert calls == []
 
 
 class TestOperationProperties:
