@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .exprs import _echo, parse_expr
-from .nstime import CtFn, DeltaSchedule, SamplingPeriod
+from .nstime import CtFn, DeltaSchedule, SamplingPeriod, stable_floor
 
 _SCHEDULE_HALVINGS = 4
 
@@ -90,9 +90,18 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         ordered.append(inputs[i])
     try:
         sched = DeltaSchedule(schedule, tol)
-        SamplingPeriod(sched.deltas[0], tmax)  # the coarsest period must fit the window
+        # Coarsest first: each period must hold a step of the window.
+        horizons = [(d, SamplingPeriod(d, tmax).horizon) for d in sched.deltas]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for x in probes:
+        if x < 0:
+            raise ConfigError(f"probe {x} is negative")
+        for d, horizon in horizons:
+            step = stable_floor(x / d)
+            if step >= horizon:
+                raise ConfigError(f"probe {x} is outside the window: it is step {step} of period "
+                                  f"{d}, which holds steps 0 to {horizon - 1} up to tmax {tmax}")
     return SimConfig(delta, tmax, sched, probes, tuple(ordered))
 
 

@@ -186,12 +186,6 @@ class Net:
         w = self.wiring
         return tuple(w.port_ids[p] for p in w.ops[w.op_rank(x)][2])
 
-    def in_port(self, k: int) -> int:
-        return self.tgt[k]
-
-    def out_port(self, k: int) -> int:
-        return self.src[k]
-
     def driven_ports(self) -> frozenset[int]:
         """Ports in the image of tgt (those with a producer)."""
         return frozenset(self.tgt.values())

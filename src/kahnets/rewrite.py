@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import ArityMismatch, StaleRedex
 from .iso import NetIso, find_iso
@@ -120,25 +120,10 @@ def _remove(net: Net, x: int, merge_into: Optional[int] = None) -> Net:
 
 @dataclass(frozen=True)
 class SharedNet:
-    """A redex-free net together with the canonical identity of each operator.
-
-    Invariants (checked at construction): no two operators share a
-    (label, input ports) key, and every operator has at least one output that
-    some source slot reads.
-    """
+    """A redex-free net: :func:`is_shared` holds of ``net``."""
 
     net: Net
-    op_keys: Mapping[int, tuple[str, tuple[int, ...]]]
-    steps: int = 0  # rewrite steps taken to reach this form
-
-    def __post_init__(self):
-        object.__setattr__(self, "op_keys", dict(self.op_keys))
-        keys = list(self.op_keys.values())
-        if len(set(keys)) != len(keys):
-            raise ValueError("shared net has duplicate (label, inputs) operators")
-        for x in self.net.wiring.op_ids:
-            if _is_dead(self.net, x):
-                raise ValueError(f"shared net has fully unconsumed operator {x}")
+    steps: int  # rewrite steps taken to reach this form
 
 
 def is_shared(net: Net) -> bool:
@@ -169,7 +154,7 @@ def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
             cur = apply_redex(cur, rs[rng.randrange(len(rs))])
             steps += 1
         cur = renumbered(cur)
-    return SharedNet(cur, {x: _sharing_key(cur, x) for x in cur.wiring.op_ids}, steps)
+    return SharedNet(cur, steps)
 
 
 def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:

@@ -265,6 +265,21 @@ class TestSimulate:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error config-error: ")
 
+    @pytest.mark.parametrize("probe, says", [("7.0", "probe 7.0 is outside the window"),
+                                             ("-0.5", "probe -0.5 is negative")])
+    def test_probe_outside_the_window_is_a_config_error(self, probe, says, tmp_path, capsys,
+                                                        monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated despite a bad probe")
+
+        monkeypatch.setattr(cli, "delta_independence", unreachable)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"delta = 1e-3\ntmax = 1.05\nschedule = 1e-2, 5e-3, 2.5e-3\n"
+                       f"probes = 0.5, {probe}\ninput.0 = expr: sin(t)\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error config-error: {says}")
+
     def test_undefined_input_is_an_evaluation_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("delta = 0.01\ntmax = 0.1\ninput.0 = expr: 1/t\n")

@@ -6,8 +6,8 @@ JSON form of some random nets, their traces and normal forms, and the
 witnesses found between pairs of nets of up to 128 operators.  The
 constructions must also number their results the same whether their operands
 use sparse ids or dense ones.  It also pins the validation reports of
-damaged documents and hand-built nets, and the slot dicts that parsed and
-constructed nets build from their wiring.
+damaged documents and hand-built nets, the slot dicts that parsed and
+constructed nets build from their wiring, and the outcome of the law suites.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ from kahnets import (GenParams, Net, compose, find_iso, gen_random_net, normaliz
 from kahnets.cli import _valid_net, main, net_to_json
 from kahnets.dsl import NetDef, NetDocument, format_document, parse_document
 from kahnets.errors import KahnetsError
+from kahnets.laws import _LAWS, run_suite
 from kahnets.nets import _dense, renumbered
 from kahnets.stdnets import STD_SIG, build
 
@@ -374,6 +375,42 @@ def test_slot_dicts_are_as_pinned():
         assert slot_dicts(net) == golden[name], name
 
 
+# ---------------------------------------------------------------------------
+# Law suites, pinned instance for instance
+# ---------------------------------------------------------------------------
+
+LAW_SUITES = os.path.join(GOLDEN, "law-suites.json")
+
+
+def law_suites() -> list[dict]:
+    """Every law's suite of 40 instances at seeds 0-2: its passed and total
+    counts and each recorded failure's axiom, home and both sides."""
+    out = []
+    for seed in range(3):
+        for axiom in _LAWS:
+            result = run_suite(axiom, GenParams(seed=seed, signature=STD_SIG), 40)
+            out.append({"seed": seed, "axiom": axiom, "passed": result.passed,
+                        "total": result.total,
+                        "failures": [{"axiom": f.axiom, "home": f.home, "lhs": net_to_json(f.lhs),
+                                      "rhs": net_to_json(f.rhs)} for f in result.failures]})
+    return out
+
+
+def write_law_suites() -> None:
+    """Write ``tests/golden/law-suites.json``, one suite a line."""
+    lines = [json.dumps(suite, separators=(",", ":")) for suite in law_suites()]
+    with open(LAW_SUITES, "w", encoding="utf-8") as handle:
+        handle.write("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+def test_law_suites_are_as_pinned():
+    """The law suites draw, pass and fail the same instances as pinned in
+    ``tests/golden/law-suites.json``."""
+    with open(LAW_SUITES, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert law_suites() == golden
+
+
 if __name__ == "__main__":
     # python tests/test_golden.py --write-golden  (with src/ on PYTHONPATH)
     if sys.argv[1:] == ["--write-golden"]:
@@ -382,3 +419,4 @@ if __name__ == "__main__":
             write_validation_reports(tmp)
         write_slot_dicts()
         write_iso_big()
+        write_law_suites()
