@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100, help="maximum fixpoint sweeps")
     p.add_argument("--scale", type=float, default=1.0, help="constant bound to the scale symbol")
     p.add_argument("--divc", type=float, default=1.0, help="constant bound to the divc symbol")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", help="write the output here instead of stdout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("net")
     p.add_argument("--config", required=True, help="simulation config file")
-    p.add_argument("--out", help="write the probe CSV here instead of stdout")
+    p.add_argument("--out", help="write the probe output here instead of stdout")
     p.add_argument("--trace-dir", help="write full per-period traces into this directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
@@ -289,8 +289,8 @@ def _cmd_eval(args) -> int:
               f"outputs may be cut short (raise --budget)", file=sys.stderr)
 
     if args.json:
-        print(json.dumps({"outputs": [list(o) for o in outputs], "sweeps": stats.sweeps,
-                          "reached_fixpoint": stats.reached_fixpoint}))
+        _write(json.dumps({"outputs": [list(o) for o in outputs], "sweeps": stats.sweeps,
+                           "reached_fixpoint": stats.reached_fixpoint}) + "\n", args.out)
         return 0
     headers = ["step"] + (["value"] if net.n == 1 else [f"value{i}" for i in range(net.n)])
     lines = [",".join(headers)]
@@ -331,7 +331,7 @@ def _cmd_simulate(args) -> int:
                         handle.write(f"{k * d},{v}\n")
 
     if args.json:
-        print(json.dumps({
+        _write(json.dumps({
             "tol": indep.tol,
             "max_spread": indep.max_spread,
             "agree": indep.ok,
@@ -342,7 +342,7 @@ def _cmd_simulate(args) -> int:
                 "spread": row.spread,
                 "standard_part": {"converged": row.standard.converged,
                                   "value": row.standard.value},
-            } for row in indep.rows]}, indent=2))
+            } for row in indep.rows]}, indent=2) + "\n", args.out)
         return 0
 
     lines = ["output,probe,delta,value"]

@@ -17,8 +17,9 @@ document, and printing is canonical.
 
 A parse error names its line and, where it concerns one token, that token's
 column.  Columns are computed only when an error is raised, by scanning the
-offending line again; a well-formed line is split into tokens once and
-accepted whole.
+offending line again.  A well-formed op line, most of any large document, is
+accepted with one regular-expression match and is never split into tokens;
+any other well-formed line is split into tokens once and accepted whole.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ from .errors import ArityMismatch, DslSyntaxError, KahnetsError, UndeclaredPort,
 from .nets import Net, Signature, _dense
 
 _TOKEN = re.compile(r"->|[():]|[A-Za-z_]\w*|\d+|\S")
+# The shape of an op line: its id, its symbol, and its input and output port
+# lists.  Where both lists split on whitespace into declared ports, each a
+# whole ``[A-Za-z_]\w*`` token, the pieces are the tokens ``_TOKEN`` finds,
+# so a match accepts exactly the op lines that a token walk accepts.
+_OP_LINE = re.compile(r"\s*op\s+([A-Za-z_]\w*)\s+([A-Za-z_]\w*)"
+                      r"\s*\(([^()]*)\)\s*->\s*\(([^()]*)\)\s*")
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,12 @@ class _Net:
 
 
 def parse_document(text: str) -> NetDocument:
-    """Read a document.  Each line is split into tokens once and accepted by
-    comparing slices of its token list against the shape of a well-formed
-    line; only a line that fails that comparison is walked token by token, by
+    """Read a document.  Inside a net block, a line is first matched whole
+    against the shape of an op line, ``_OP_LINE``; it is accepted when its
+    symbol is declared with the arity of its port lists, its id is new and
+    every port it lists is declared.  Any other line is split into tokens
+    once and accepted by comparing its token list against the shape of a
+    well-formed line.  Only a refused line is walked token by token, by
     :class:`_Line`, to report its first error."""
     symbols: dict[str, tuple[int, int]] = {}
     nets: list[NetDef] = []
@@ -137,6 +147,16 @@ def parse_document(text: str) -> NetDocument:
 
     for number, raw in enumerate(text.splitlines(), start=1):
         code = raw.partition("#")[0]
+        if current is not None:
+            match = _OP_LINE.fullmatch(code)
+            if match is not None:
+                ident, sym, ins, outs = match[1], match[2], match[3].split(), match[4].split()
+                if (symbols.get(sym) == (len(ins), len(outs)) and ident not in current.op_ids
+                        and current.port_set.issuperset(ins)
+                        and current.port_set.issuperset(outs)):
+                    current.op_ids.add(ident)
+                    current.ops.append(OpDef(ident, sym, tuple(ins), tuple(outs)))
+                    continue
         toks = _TOKEN.findall(code)
         if not toks:
             continue
@@ -148,18 +168,6 @@ def parse_document(text: str) -> NetDocument:
                     DslSyntaxError, f"{keyword!r} outside of a net block", 0)
             declared = current.port_set
             if keyword == "op":
-                shape = symbols.get(toks[2]) if len(toks) > 2 else None
-                if shape is not None:
-                    ar, co = shape
-                    ins, outs = toks[4:4 + ar], toks[7 + ar:-1]
-                    if (len(toks) == 8 + ar + co
-                            and (toks[3], toks[4 + ar], toks[5 + ar], toks[6 + ar], toks[-1])
-                            == ("(", ")", "->", "(", ")")
-                            and toks[1][0] in _IDENT_START and toks[1] not in current.op_ids
-                            and declared.issuperset(ins) and declared.issuperset(outs)):
-                        current.op_ids.add(toks[1])
-                        current.ops.append(OpDef(toks[1], toks[2], tuple(ins), tuple(outs)))
-                        continue
                 _Line(number, code, toks).reject_op(current, symbols)
             listed = toks[1:]
             if keyword == "ports":

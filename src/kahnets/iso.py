@@ -1,18 +1,24 @@
-"""Isomorphism of nets: witness search by partition refinement plus backtracking.
+"""Isomorphism of nets: a walk from the boundary, then refinement and backtracking.
 
 Two nets of the same arity are isomorphic when there are bijections of ports
 and operators preserving labels, all wiring, and the boundary attachment.
 Two nets whose wirings are equal slot for slot are answered without a
 search: rank r goes to rank r, which is the witness the search finds on
-them.  Otherwise boundary attachment pins part of the port bijection
-outright; the rest is found by iterated invariant refinement (labels, slot
-positions, neighborhood colors) followed by a backtracking search inside the
-surviving color classes.  The refinement colors the disjoint union of both
-nets, so one color table per step serves both, and a class holding more of
-one net than of the other refuses at once.  The search is deterministic for
-fixed inputs and complete at the sizes this package targets (a few hundred
-ports).  Every witness is checked with :meth:`NetIso.verify` before it is
-returned.
+them.  Otherwise both wirings are walked in step from the boundary, which an
+isomorphism fixes: a port has at most one driver and operator slots are
+ordered, so the walk from a port to its driver and from an operator to its
+ports by position has no choice.  A mismatch on that cone (a label, a driver
+on one side only, or a port bound two ways) proves there is no isomorphism.
+When the cone holds every operator, its map is the only witness up to the
+floating ports, which are paired in rank order; this takes time linear in
+the size of the nets.  Only a pair whose cone leaves an operator out is
+searched: iterated invariant refinement (labels, slot positions,
+neighborhood colors) followed by a backtracking search inside the surviving
+color classes.  The refinement colors the disjoint union of both nets, so
+one color table per step serves both, and a class holding more of one net
+than of the other refuses at once.  The search is deterministic for fixed
+inputs and gives the cone's witness wherever the cone gives one.  Every
+witness is checked with :meth:`NetIso.verify` before it is returned.
 """
 
 from __future__ import annotations
@@ -146,10 +152,12 @@ def _refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int]]]:
 
 def _search(wa: Wiring, wb: Wiring) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """The rank maps (ports, operators) of a witness from ``wa`` onto ``wb``,
-    or None when there is none.  Operators are bound fewest candidates first
-    (then by rank), each to the first candidate of its color, by rank, that
-    is still unused and whose ports bind, backtracking on failure; the ports
-    left over are paired in rank order within their color."""
+    or None when there is none; :func:`find_iso` calls it only when the
+    boundary cone leaves an operator out.  Operators are bound fewest
+    candidates first (then by rank), each to the first candidate of its
+    color, by rank, that is still unused and whose ports bind, backtracking
+    on failure; the ports left over are paired in rank order within their
+    color."""
     # Boundary attachment forces part of the port bijection.
     forced: dict[int, int] = dict(zip(wa.inputs, wb.inputs))
     for pa, pb in zip(wa.outputs, wb.outputs):
@@ -232,8 +240,57 @@ def _search(wa: Wiring, wb: Wiring) -> Optional[tuple[dict[int, int], dict[int, 
     return pmap, omap
 
 
+def _cone(wa: Wiring, wb: Wiring) -> Optional[tuple[list[int], list[int]]]:
+    """The rank maps (ports, operators) that the boundary forces, or None
+    when they prove there is no witness.  Both wirings are walked in step
+    from the boundary ports: a bound port pair goes to its two drivers, and
+    two bound operators go to their input and output ports by position.
+    An operator is reached only through a port it drives, so a second
+    partner for it or for its image, or a slot index that differs, shows as
+    a port bound two ways.  An unbound rank maps to -1.  When every operator
+    is bound, so is every port that is not floating, and the floating ports
+    are paired in rank order, as :func:`_search` pairs them."""
+    pm, pinv = [-1] * len(wa.driver), [-1] * len(wb.driver)
+    om = [-1] * len(wa.ops)
+    todo: list[int] = []  # bound ports of a whose drivers are still to compare
+
+    def bind(pairs) -> bool:
+        """Bind each port pair; False when a port of either net is bound two ways."""
+        for pa, pb in pairs:
+            q = pm[pa]
+            if q != pb:
+                if q >= 0 or pinv[pb] >= 0:
+                    return False
+                pm[pa], pinv[pb] = pb, pa
+                todo.append(pa)
+        return True
+
+    if not bind(chain(zip(wa.inputs, wb.inputs), zip(wa.outputs, wb.outputs))):
+        return None
+    while todo:
+        pa = todo.pop()
+        sa, sb = wa.driver[pa], wb.driver[pm[pa]]
+        if sa.__class__ is not tuple or sb.__class__ is not tuple:
+            if sa != sb:  # a driver on one side only
+                return None
+            continue
+        x, y = sa[0], sb[0]
+        if om[x] < 0:  # else om[x] is y: pa was bound as an output port of x
+            om[x] = y
+            (lab, xi, xo), (lab_b, yi, yo) = wa.ops[x], wb.ops[y]
+            if (lab, len(xi), len(xo)) != (lab_b, len(yi), len(yo)) or not bind(
+                    chain(zip(xi, yi), zip(xo, yo))):
+                return None
+    if -1 not in om:
+        floating = iter([q for q, p in enumerate(pinv) if p < 0])
+        pm = [next(floating) if q < 0 else q for q in pm]
+    return pm, om
+
+
 def find_iso(a: Net, b: Net) -> Optional[NetIso]:
-    """A witness isomorphism from ``a`` onto ``b``, or None when none exists."""
+    """A witness isomorphism from ``a`` onto ``b``, or None when none exists:
+    equal wirings map rank to rank, a pair the boundary cone decides takes
+    the cone's answer, and any other pair is searched."""
     if a.m != b.m or a.n != b.n:
         return None
     wa, wb = a.wiring, b.wiring
@@ -245,12 +302,20 @@ def find_iso(a: Net, b: Net) -> Optional[NetIso]:
         # left over in rank order, so it would map each rank to itself.
         iso = NetIso(dict(zip(wa.port_ids, wb.port_ids)), dict(zip(wa.op_ids, wb.op_ids)))
     else:
-        found = _search(wa, wb)
-        if found is None:
+        cone = _cone(wa, wb)
+        if cone is None:
             return None
-        pmap, omap = found
-        iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
-                     {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
-    if not iso.verify(a, b):  # defensive: search invariants should guarantee this
+        pm, om = cone
+        if -1 in om:
+            found = _search(wa, wb)
+            if found is None:
+                return None
+            pmap, omap = found
+            iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
+                         {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
+        else:  # the boundary forces the only witness
+            iso = NetIso(dict(zip(wa.port_ids, map(wb.port_ids.__getitem__, pm))),
+                         dict(zip(wa.op_ids, map(wb.op_ids.__getitem__, om))))
+    if not iso.verify(a, b):  # defensive: the cone and the search should guarantee this
         raise RuntimeError("internal error: candidate isomorphism failed verification")
     return iso

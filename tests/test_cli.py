@@ -180,6 +180,13 @@ class TestEval:
         assert payload["outputs"] == [[2.0, 4.0]]
         assert payload["reached_fixpoint"] is True and payload["sweeps"] <= 100
 
+    def test_json_goes_to_the_out_file(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["eval", fx("running_sum.net"), "main", "--input", "2,2", "--json",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["outputs"] == [[2.0, 4.0]]
+
     def test_wrong_input_count_is_an_eval_error(self, capsys):
         assert main(["eval", fx("running_sum.net"), "main"]) == 3
         assert "arity-mismatch" in capsys.readouterr().err
@@ -205,6 +212,13 @@ class TestSimulate:
         assert payload["agree"] is True
         probe_one = [row for row in payload["probes"] if row["probe"] == 1.0][0]
         assert probe_one["standard_part"]["converged"] is True
+
+    def test_json_report_goes_to_the_out_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["simulate", fx("integration.net"), "main",
+                     "--config", fx("sin01.cfg"), "--json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["agree"] is True
 
     def test_trace_dir(self, tmp_path, capsys):
         assert main(["simulate", fx("integration.net"), "main",

@@ -101,6 +101,56 @@ class TestParse:
             doc.net("nope")
 
 
+class TestOpLines:
+    """An op line is accepted in any layout its tokens allow, and a near miss
+    raises the error that walking its tokens finds."""
+
+    HEAD = "sig alpha 2 1\nsig beta 2 2\nnet main : 2 -> 2\n  ports p0 p1 p2 p3 p4 pé\n"
+    X1 = "  op x1 beta (p2 p1) -> (p3 p4)\n"
+    TAIL = "  in p0 p1\n  out p3 p4\n"
+
+    @pytest.mark.parametrize("line, canonical", [
+        ("\top\tx0\talpha\t(p0\tp4)\t->\t(p2)\t", "op x0 alpha (p0 p4) -> (p2)"),
+        ("op x0 alpha(p0 p4)->(p2)", "op x0 alpha (p0 p4) -> (p2)"),
+        ("  op x0 alpha ( p0 p4 ) -> ( p2 )", "op x0 alpha (p0 p4) -> (p2)"),
+        ("  op x0 alpha (p0 p4) -> (p2)  # x0 (p0) -> ()", "op x0 alpha (p0 p4) -> (p2)"),
+        ("  op x0 alpha (p0 p4) -> (p2)#", "op x0 alpha (p0 p4) -> (p2)"),
+        ("\u3000op\u00a0x0 alpha\u2003(p0\u2009p4) ->\u3000(p2)\x1f",
+         "op x0 alpha (p0 p4) -> (p2)"),
+        ("  op xé0 alpha (p0 pé) -> (p2)", "op xé0 alpha (p0 pé) -> (p2)"),
+        ("  op x_é² alpha (pé pé)->(p2)", "op x_é² alpha (pé pé) -> (p2)"),
+    ])
+    def test_layouts_parse_alike(self, line, canonical):
+        text = self.HEAD + self.X1 + line + "\n" + self.TAIL
+        doc = parse_document(text)
+        assert doc == parse_document(self.HEAD + self.X1 + "  " + canonical + "\n" + self.TAIL)
+        assert format_document(doc).splitlines()[6] == "  " + canonical
+        assert parse_document(text.replace("\n", "\r\n")) == doc
+
+    @pytest.mark.parametrize("line, kind, message, col", [
+        ("  op x0 alpha (p0 p9) -> (p2)", UndeclaredPort,
+         "port 'p9' not declared in net 'main'", 19),
+        ("  op x0 alpha (p0 4p) -> (p2)", DslSyntaxError, "expected port name, found '4'", 19),
+        ("  op x0 alpha (p0 é) -> (p2)", DslSyntaxError, "expected port name, found 'é'", 19),
+        ("  op x0 alpha (p0, p4) -> (p2)", DslSyntaxError, "expected port name, found ','", 18),
+        ("  op x0 alpha (p0 p4 -> (p2)", DslSyntaxError, "expected port name, found '->'", 22),
+        ("  opx0 alpha (p0 p4) -> (p2)", DslSyntaxError, "unknown keyword 'opx0'", 3),
+        ("  op éx alpha (p0 p4) -> (p2)", DslSyntaxError, "expected operator id, found 'é'", 6),
+        ("  op x0 alpha (p0) -> (p2)", ArityMismatch,
+         "operator 'x0': symbol 'alpha' is 2->1, wired 1->1", 9),
+        ("  op x0 alpha (p0 p4) -> (p2 p3)", ArityMismatch,
+         "operator 'x0': symbol 'alpha' is 2->1, wired 2->2", 9),
+        ("  op x1 alpha (p0 p4) -> (p2)", DslSyntaxError, "operator 'x1' declared twice", 6),
+        ("  op x0 alpha (p0 p4) - > (p2)", DslSyntaxError, "expected '->', found '-'", 23),
+        ("  op x0 alpha (p0 p4) -> (p2) )", DslSyntaxError, "unexpected trailing ')'", 31),
+    ])
+    def test_near_misses_are_located(self, line, kind, message, col):
+        with pytest.raises(kind) as err:
+            parse_document(self.HEAD + self.X1 + line + "\n" + self.TAIL)
+        assert type(err.value) is kind
+        assert (err.value.message, err.value.line, err.value.col) == (message, 6, col)
+
+
 class TestRoundTrip:
     def test_parse_print_parse_is_identity(self):
         doc = parse_document(PAPER_DOC)

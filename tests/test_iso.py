@@ -10,9 +10,9 @@ import sys
 from itertools import permutations
 from typing import Optional
 
-from kahnets import GenParams, Net, find_iso, gen_random_net, identity, laws, symmetry
+from kahnets import GenParams, Net, find_iso, gen_random_net, identity, iso, laws, symmetry
 from kahnets.dsl import parse_document
-from kahnets.iso import NetIso, _refine, _search, identity_iso
+from kahnets.iso import NetIso, _cone, _refine, _search, identity_iso
 from kahnets.nets import Wiring, _dense
 from kahnets.stdnets import STD_SIG, build
 from test_golden import GOLDEN, ROOT, net_from_json
@@ -130,8 +130,9 @@ def test_larger_net_roundtrip():
 
 
 def test_a_search_leaves_no_garbage():
-    """A witness found by the search and a refusal free everything they built
-    as soon as they return: no reference cycle waits for the collector."""
+    """A witness and a refusal, found by the boundary cone and by the search,
+    free everything they built as soon as they return: no reference cycle
+    waits for the collector."""
     with open(os.path.join(ROOT, "fixtures", "paper_example.net"), encoding="utf-8") as handle:
         main = parse_document(handle.read()).net("main")
     shuffled = permute_ports(main, 1)
@@ -142,6 +143,8 @@ def test_a_search_leaves_no_garbage():
         gc.collect()
         assert find_iso(main, shuffled) is not None
         assert find_iso(identity(2), symmetry(1, 1)) is None
+        assert _search(main.wiring, shuffled.wiring) is not None
+        assert _search(identity(2).wiring, symmetry(1, 1).wiring) is None
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -181,6 +184,166 @@ def test_the_search_maps_equal_wirings_rank_to_rank():
         w = net.wiring
         ports, ops = range(len(w.driver)), range(len(w.ops))
         assert _search(w, w) == (dict(zip(ports, ports)), dict(zip(ops, ops)))
+
+
+# ---------------------------------------------------------------------------
+# The boundary cone against the search
+# ---------------------------------------------------------------------------
+
+def dag(rng: random.Random, size: int, m: int = 2) -> Net:
+    """A loop-free net built like the benchmark's: each operator reads earlier
+    ports, its first input mostly from an operator nothing reads yet, and
+    the operators still unread feed the boundary outputs.  So every operator
+    lies in the cone of the outputs."""
+    owner: list[Optional[int]] = [None] * m  # per port: its driving operator
+    ops: list = []
+    unread: list[int] = []
+    for x in range(size):
+        label = rng.choice(("plus", "minus", "alpha", "beta", "scale", "iota"))
+        ar, co = STD_SIG.symbols[label]
+        ins = [rng.randrange(len(owner)) for _ in range(ar)]
+        if unread and rng.random() < 0.8:
+            ins[0] = ops[rng.choice(unread)][2][0]
+        for p in ins:
+            if owner[p] in unread:
+                unread.remove(owner[p])
+        ops.append((label, tuple(ins), tuple(range(len(owner), len(owner) + co))))
+        owner += [x] * co
+        unread.append(x)
+    return _dense(ops, tuple(range(m)), tuple(ops[x][2][0] for x in unread), len(owner))
+
+
+def swapped(net: Net, rng: random.Random) -> Optional[Net]:
+    """The net with the two distinct inputs of one non-commutative operator
+    swapped, or None when it has no such operator."""
+    w = net.wiring
+    xs = [x for x, (lab, xi, _) in enumerate(w.ops)
+          if lab in ("minus", "alpha", "beta") and xi[0] != xi[1]]
+    if not xs:
+        return None
+    x = rng.choice(xs)
+    ops = list(w.ops)
+    lab, (p, q), xo = ops[x]
+    ops[x] = (lab, (q, p), xo)
+    return _dense(ops, w.inputs, w.outputs, len(w.driver))
+
+
+def relabelled(net: Net, rng: random.Random) -> Net:
+    """The net with one operator given another symbol of the same arity."""
+    other = {"plus": "minus", "minus": "alpha", "alpha": "plus", "scale": "iota", "iota": "scale"}
+    w = net.wiring
+    x = rng.choice([x for x, (lab, _, _) in enumerate(w.ops) if lab in other])
+    ops = list(w.ops)
+    lab, xi, xo = ops[x]
+    ops[x] = (other[lab], xi, xo)
+    return _dense(ops, w.inputs, w.outputs, len(w.driver))
+
+
+def relisted(net: Net, rng: random.Random) -> Net:
+    """The net with its operators listed in a shuffled order, ports shuffled."""
+    ids = sorted(net.labels)
+    order = ids[:]
+    rng.shuffle(order)
+    ren = dict(zip(ids, order))
+
+    def slot(s):
+        return (ren[s[0]], s[1]) if isinstance(s, tuple) else s
+
+    moved = Net(net.m, net.n, net.ports, {ren[x]: lab for x, lab in net.labels.items()},
+                {slot(s): p for s, p in net.src.items()}, {slot(s): p for s, p in net.tgt.items()})
+    return permute_ports(moved, rng.randrange(1000))
+
+
+def cone_agrees_with_search(a: Net, b: Net) -> str:
+    """``find_iso`` gives the verdict of the search alone, and its witness
+    wherever there is one.  Returns how the cone answered: ``"witness"``,
+    ``"refused"``, or ``"search"`` when it left an operator to the search."""
+    wa, wb = a.wiring, b.wiring
+    found, got = _search(wa, wb), find_iso(a, b)
+    assert (got is None) == (found is None)
+    if found is not None:
+        pmap, omap = found
+        assert got.port_map == {wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()}
+        assert got.op_map == {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()}
+    cone = _cone(wa, wb)
+    return "refused" if cone is None else "search" if -1 in cone[1] else "witness"
+
+
+def test_the_cone_agrees_with_the_search_on_random_pairs():
+    """Random nets against a copy with shuffled ports and a copy with one slot
+    rewired, and loop-free nets like the benchmark's against a relisted copy,
+    a copy with one operator relabelled and a copy with the inputs of a
+    non-commutative operator swapped."""
+    rng = random.Random(13)
+    paths = {"witness": 0, "refused": 0, "search": 0}
+    for seed in range(1000):
+        net = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=12))
+        for other in (permute_ports(net, seed), rewired(net, rng)):
+            paths[cone_agrees_with_search(net, other)] += 1
+    for size in range(2, 66):
+        net = dag(rng, size)
+        assert cone_agrees_with_search(net, relisted(net, rng)) == "witness"
+        assert cone_agrees_with_search(net, relabelled(net, rng)) == "refused"
+        bad = swapped(net, rng)
+        if bad is not None:
+            assert cone_agrees_with_search(net, bad) == "refused"
+            paths["refused"] += 1
+        paths["witness"] += 1
+    assert min(paths.values()) > 100, paths
+
+
+def test_the_cone_refuses_what_the_boundary_rules_out():
+    """Pairs the walk from the boundary refuses on its own: an undriven port
+    against a driven one, two boundary ports swapped, and an operator whose
+    output ports would be bound to two operators' ports."""
+    # in a the output's iota reads an undriven port; in b it reads another iota
+    undriven = _dense([("iota", (0,), (1,)), ("iota", (3,), (2,))], (), (1,), 4)
+    driven = _dense([("iota", (0,), (1,)), ("iota", (3,), (0,))], (), (1,), 4)
+    # the two outputs of one beta against a beta and an alpha reading it
+    beta = _dense([("beta", (0, 1), (2, 3)), ("beta", (2, 3), (4, 5))], (0, 1), (4, 5), 6)
+    crossed = _dense([("beta", (0, 1), (2, 3)), ("beta", (2, 3), (5, 4))], (0, 1), (4, 5), 6)
+    for a, b in ((undriven, driven), (identity(2), symmetry(1, 1)), (beta, crossed)):
+        assert _cone(a.wiring, b.wiring) is None
+        assert _search(a.wiring, b.wiring) is None and find_iso(a, b) is None
+
+
+def test_a_long_chain_is_matched_without_refinement(monkeypatch):
+    """A chain of 4,096 ``scale`` operators against the same chain listed in
+    reverse: the cone binds every operator, so nothing is refined."""
+    calls = []
+
+    def counted(wa: Wiring, wb: Wiring):
+        calls.append(1)
+        return _refine(wa, wb)
+
+    monkeypatch.setattr(iso, "_refine", counted)
+    k = 4096
+    chain = _dense([("scale", (x,), (x + 1,)) for x in range(k)], (0,), (k,), k + 1)
+    reverse = _dense([("scale", (x,), (x + 1,)) for x in reversed(range(k))], (0,), (k,), k + 1)
+    w = find_iso(chain, reverse)
+    assert w is not None and calls == []
+    assert w.op_map == {x: k - 1 - x for x in range(k)}
+    assert w.port_map == {p: p for p in range(k + 1)}
+
+
+def test_an_operator_outside_the_cone_is_left_to_the_search(monkeypatch):
+    """An operator that no boundary output depends on is not bound by the
+    walk from the boundary, so the search answers, found or not."""
+    calls = []
+
+    def counted(wa: Wiring, wb: Wiring):
+        calls.append(1)
+        return _search(wa, wb)
+
+    monkeypatch.setattr(iso, "_search", counted)
+    # in -> scale -> out, and an iota reading the input that nothing reads
+    net = _dense([("scale", (0,), (1,)), ("iota", (0,), (2,))], (0,), (1,), 3)
+    relisted_ = _dense([("iota", (0,), (1,)), ("scale", (0,), (2,))], (0,), (2,), 3)
+    unread_eps = _dense([("scale", (0,), (1,)), ("eps", (0,), (2,))], (0,), (1,), 3)
+    assert _cone(net.wiring, relisted_.wiring)[1] == [1, -1]
+    w = find_iso(net, relisted_)
+    assert w is not None and w.op_map == {0: 1, 1: 0} and len(calls) == 1
+    assert find_iso(net, unread_eps) is None and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
