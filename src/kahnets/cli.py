@@ -30,7 +30,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import load_stream_csv, parse_config
+from .config import _finite, load_stream_csv, parse_config
 from .dsl import NetDocument, format_document, net_to_def, parse_document
 from .errors import ConfigError, DslSyntaxError, KahnetsError, UndeclaredPort
 from .iso import find_iso
@@ -114,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", default=[],
                    help="comma-separated values or a step,value CSV path (one per boundary input)")
     p.add_argument("--budget", type=int, default=100, help="maximum fixpoint sweeps")
-    p.add_argument("--scale", type=float, default=1.0, help="constant bound to the scale symbol")
-    p.add_argument("--divc", type=float, default=1.0, help="constant bound to the divc symbol")
+    p.add_argument("--scale", default="1.0", help="constant bound to the scale symbol")
+    p.add_argument("--divc", default="1.0", help="constant bound to the divc symbol")
     p.add_argument("--out", help="write the output here instead of stdout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_eval)
@@ -267,22 +267,28 @@ def _cmd_se_equiv(args) -> int:
     return 0 if witness is not None else 1
 
 
+def _finite_arg(flag: str, text: str) -> float:
+    """``text``, given to ``flag``, as a finite number, or a config error."""
+    try:
+        return _finite(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {flag!r}: {exc}") from None
+
+
 def _parse_input_spec(spec: str) -> tuple[float, ...]:
     if os.path.exists(spec):
         return load_stream_csv(spec)
-    try:
-        return tuple(float(v) for v in spec.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"--input {spec!r} is neither a file nor a comma-separated list") from None
+    return tuple(_finite_arg("--input", v) for v in spec.split(",") if v.strip())
 
 
 def _cmd_eval(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"--budget must be at least 0, got {args.budget}")
+    interp = std_interpretation(scale=_finite_arg("--scale", args.scale),
+                                divc=_finite_arg("--divc", args.divc))
     doc = _load(args.file)
     net = _valid_net(doc, args.net)
     inputs = [_parse_input_spec(spec) for spec in args.input]
-    interp = std_interpretation(scale=args.scale, divc=args.divc)
     outputs, stats = denote(net, interp, inputs, budget=args.budget, return_stats=True)
     if not stats.reached_fixpoint:
         print(f"warning budget-exhausted: no fixpoint within {stats.sweeps} sweeps, "

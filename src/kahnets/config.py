@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .exprs import _echo, parse_expr
-from .nstime import CtFn, DeltaSchedule, SamplingPeriod, stable_floor
-
-_SCHEDULE_HALVINGS = 4
+from .nstime import CtFn, DeltaSchedule, SamplingPeriod, default_schedule, stable_floor
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,13 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         raise ConfigError("missing required key 'delta'")
     if tmax is None:
         raise ConfigError("missing required key 'tmax'")
-    if schedule is None:
-        schedule = tuple(delta / 2 ** j for j in range(_SCHEDULE_HALVINGS + 1))
     ordered = []
     for i in range(len(inputs)):
         if i not in inputs:
             raise ConfigError(f"inputs must be indexed densely from 0; missing input.{i}")
         ordered.append(inputs[i])
     try:
-        sched = DeltaSchedule(schedule, tol)
+        sched = default_schedule(delta, tol=tol) if schedule is None else DeltaSchedule(schedule, tol)
         # Coarsest first: each period must hold a step of the window.
         horizons = [(d, SamplingPeriod(d, tmax).horizon) for d in sched.deltas]
     except ValueError as exc:
@@ -147,8 +143,8 @@ def load_continuous_csv(path: str) -> CtFn:
             for row in reader:
                 if not row:
                     continue
-                ts.append(float(row[0]))
-                vs.append(float(row[1]))
+                ts.append(_finite(row[0]))
+                vs.append(_finite(row[1]))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
@@ -170,7 +166,7 @@ def load_stream_csv(path: str) -> tuple[float, ...]:
             for row in reader:
                 if not row:
                     continue
-                values.append(float(row[1]))
+                values.append(_finite(row[1]))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:

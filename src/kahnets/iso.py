@@ -1,30 +1,24 @@
-"""Isomorphism of nets: a walk from the boundary, then refinement and backtracking.
+"""Isomorphism of nets: one search that propagates each binding.
 
 Two nets of the same arity are isomorphic when there are bijections of ports
 and operators preserving labels, all wiring, and the boundary attachment.
-Two nets whose wirings are equal slot for slot are answered without a
-search: rank r goes to rank r, which is the witness the search finds on
-them.  Otherwise both wirings are walked in step from the boundary, which an
-isomorphism fixes: a port has at most one driver and operator slots are
-ordered, so the walk from a port to its driver and from an operator to its
-ports by position has no choice.  A mismatch on that cone (a label, a driver
-on one side only, or a port bound two ways) proves there is no isomorphism.
-When the cone holds every operator, its map is the only witness up to the
-floating ports, which are paired in rank order; this takes time linear in
-the size of the nets.  Only a pair whose cone leaves an operator out is
-searched: iterated invariant refinement (labels, slot positions,
-neighborhood colors) followed by a backtracking search inside the surviving
-color classes.  The refinement colors the disjoint union of both nets, so
-one color table per step serves both, and a class holding more of one net
-than of the other refuses at once.  The search is deterministic for fixed
-inputs and gives the cone's witness wherever the cone gives one.  Every
-witness is checked with :meth:`NetIso.verify` before it is returned.
+Equal wirings are answered rank r to rank r, the witness the search finds on
+them, without a search.  Otherwise the search binds ports and operators of
+the two nets in pairs, and each binding forces more: a port has at most one
+driver and operator slots are ordered, so a bound port pair binds its two
+drivers and a bound operator pair binds its ports by position.  The
+boundary, which an isomorphism fixes, is bound first; when that binds every
+operator, the map is the only witness up to the floating ports, found in
+time linear in the size of the nets.  Only when an operator is left unbound
+are both nets refined (labels, slot positions and neighborhood colors,
+iterated) and the rest bound by backtracking inside the color classes.  The
+search is deterministic.  Every witness is checked with
+:meth:`NetIso.verify` before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
 
 from .nets import Net, Wiring
@@ -90,7 +84,7 @@ def identity_iso(net: Net) -> NetIso:
 
 
 # ---------------------------------------------------------------------------
-# Search
+# Matching
 # ---------------------------------------------------------------------------
 
 def _color(keys: list, half: int) -> Optional[tuple[list[int], int]]:
@@ -150,172 +144,135 @@ def _refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int]]]:
         count = grown
 
 
-def _search(wa: Wiring, wb: Wiring) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+def _match(wa: Wiring, wb: Wiring) -> Optional[tuple[list[int], list[int]]]:
     """The rank maps (ports, operators) of a witness from ``wa`` onto ``wb``,
-    or None when there is none; :func:`find_iso` calls it only when the
-    boundary cone leaves an operator out.  Operators are bound fewest
-    candidates first (then by rank), each to the first candidate of its
-    color, by rank, that is still unused and whose ports bind, backtracking
-    on failure; the ports left over are paired in rank order within their
-    color."""
-    # Boundary attachment forces part of the port bijection.
-    forced: dict[int, int] = dict(zip(wa.inputs, wb.inputs))
-    for pa, pb in zip(wa.outputs, wb.outputs):
-        if forced.get(pa, pb) != pb:
-            return None
-        forced[pa] = pb
-    if len(set(forced.values())) != len(forced):
-        return None
+    or None when there is none.
 
-    colors = _refine(wa, wb)
-    if colors is None:
-        return None
-    pc, oc = colors
+    ``bind`` refuses a pair on a label or arity that differs, a driver on
+    one side only, a color that differs (once refined), or a port or
+    operator bound two ways.  After the boundary, the operators left
+    unbound are bound fewest candidates first (then by rank), each to the
+    first candidate of its color, by rank, that binds; backtracking undoes
+    a choice and all it forced from the trail.  Propagation binds only what
+    every witness extending the choices made contains, so the first witness
+    found is the one the same search without propagation finds.  The
+    floating ports are paired in rank order last."""
     np_, no = len(wa.driver), len(wa.ops)
-    pc_b = pc[np_:]
-    for pa, pb in forced.items():
-        if pc[pa] != pc_b[pb]:
-            return None
+    pm, pinv, om, oinv = [-1] * np_, [-1] * np_, [-1] * no, [-1] * no
+    pca = pcb = [0] * np_  # the port colors of a and of b, all alike until refined
+    oca = ocb = [0] * no
+    trail: list[int] = []  # the ranks of a bound, in order: a port p, an operator x as ~x
 
-    same: dict[int, list[int]] = {}
-    for y in range(no):
-        same.setdefault(oc[no + y], []).append(y)
-    candidates = [same[oc[x]] for x in range(no)]
-    order = sorted(range(no), key=lambda x: (len(candidates[x]), x))
-
-    pmap: dict[int, int] = dict(forced)
-    pused: set[int] = set(forced.values())
-    omap: dict[int, int] = {}
-    oused: set[int] = set()
-    stack: list[tuple[int, list[int]]] = []  # per bound operator: its candidate index, the ports it bound
-    i = start = 0
-    while i < len(order):
-        x = order[i]
-        _, ain, aout = wa.ops[x]
-        cands = candidates[x]
-        for k in range(start, len(cands)):
-            y = cands[k]
-            if y in oused:
-                continue
-            _, bin_, bout = wb.ops[y]
-            undo: list[int] = []
-            for pa, pb in chain(zip(ain, bin_), zip(aout, bout)):
-                cur = pmap.get(pa)
-                if cur is None:
-                    if pb in pused or pc[pa] != pc_b[pb]:
-                        break
-                    pmap[pa] = pb
-                    pused.add(pb)
-                    undo.append(pa)
-                elif cur != pb:
+    def bind(todo: list[tuple[int, int]]) -> bool:
+        """Bind the pairs on ``todo``, ports as ``(p, q)`` and operators as
+        ``(~x, y)``, and every pair they force; False at the first refusal.
+        Leaves ``todo`` empty."""
+        while todo:
+            a, b = todo.pop()
+            if a >= 0:
+                q = pm[a]
+                if q == b:
+                    continue
+                if q >= 0 or pinv[b] >= 0 or pca[a] != pcb[b]:
+                    break
+                pm[a], pinv[b] = b, a
+                trail.append(a)
+                sa, sb = wa.driver[a], wb.driver[b]
+                if sa.__class__ is tuple and sb.__class__ is tuple:
+                    todo.append((~sa[0], sb[0]))
+                elif sa != sb:  # a driver on one side only
                     break
             else:
-                omap[x] = y
-                oused.add(y)
-                stack.append((k, undo))
-                i, start = i + 1, 0
-                break
-            for pa in undo:
-                pused.discard(pmap.pop(pa))
-        else:  # no candidate binds: rebind the operator bound last to its next candidate
-            if not stack:
-                return None
-            i -= 1
-            start, undo = stack.pop()
-            start += 1
-            oused.discard(omap.pop(order[i]))
-            for pa in undo:
-                pused.discard(pmap.pop(pa))
+                x = ~a
+                y = om[x]
+                if y == b:
+                    continue
+                (lab, xi, xo), (lab_b, yi, yo) = wa.ops[x], wb.ops[b]
+                if (y >= 0 or oinv[b] >= 0 or oca[x] != ocb[b] or lab != lab_b
+                        or len(xi) != len(yi) or len(xo) != len(yo)):
+                    break
+                om[x], oinv[b] = b, x
+                trail.append(a)
+                todo += zip(xi + xo, yi + yo)
+        else:
+            return True
+        todo.clear()
+        return False
 
-    # Ports left over are attached to nothing; pair them up within classes.
-    # Every binding kept colors, and _refine balanced each class, so each
-    # class has as many ports left over in one net as in the other.
-    free: dict[int, list[int]] = {}
-    for q in range(np_):
-        if q not in pused:
-            free.setdefault(pc_b[q], []).append(q)
-    for p in range(np_):
-        if p not in pmap:
-            pmap[p] = free[pc[p]].pop(0)
-    return pmap, omap
+    def undo(mark: int) -> None:
+        """Unbind all but the first ``mark`` bindings of the trail."""
+        while len(trail) > mark:
+            a = trail.pop()
+            if a >= 0:
+                pinv[pm[a]] = -1
+                pm[a] = -1
+            else:
+                oinv[om[~a]] = -1
+                om[~a] = -1
 
-
-def _cone(wa: Wiring, wb: Wiring) -> Optional[tuple[list[int], list[int]]]:
-    """The rank maps (ports, operators) that the boundary forces, or None
-    when they prove there is no witness.  Both wirings are walked in step
-    from the boundary ports: a bound port pair goes to its two drivers, and
-    two bound operators go to their input and output ports by position.
-    An operator is reached only through a port it drives, so a second
-    partner for it or for its image, or a slot index that differs, shows as
-    a port bound two ways.  An unbound rank maps to -1.  When every operator
-    is bound, so is every port that is not floating, and the floating ports
-    are paired in rank order, as :func:`_search` pairs them."""
-    pm, pinv = [-1] * len(wa.driver), [-1] * len(wb.driver)
-    om = [-1] * len(wa.ops)
-    todo: list[int] = []  # bound ports of a whose drivers are still to compare
-
-    def bind(pairs) -> bool:
-        """Bind each port pair; False when a port of either net is bound two ways."""
-        for pa, pb in pairs:
-            q = pm[pa]
-            if q != pb:
-                if q >= 0 or pinv[pb] >= 0:
-                    return False
-                pm[pa], pinv[pb] = pb, pa
-                todo.append(pa)
-        return True
-
-    if not bind(chain(zip(wa.inputs, wb.inputs), zip(wa.outputs, wb.outputs))):
+    todo = [*zip(wa.inputs, wb.inputs), *zip(wa.outputs, wb.outputs)]
+    if not bind(todo):
         return None
-    while todo:
-        pa = todo.pop()
-        sa, sb = wa.driver[pa], wb.driver[pm[pa]]
-        if sa.__class__ is not tuple or sb.__class__ is not tuple:
-            if sa != sb:  # a driver on one side only
-                return None
-            continue
-        x, y = sa[0], sb[0]
-        if om[x] < 0:  # else om[x] is y: pa was bound as an output port of x
-            om[x] = y
-            (lab, xi, xo), (lab_b, yi, yo) = wa.ops[x], wb.ops[y]
-            if (lab, len(xi), len(xo)) != (lab_b, len(yi), len(yo)) or not bind(
-                    chain(zip(xi, yi), zip(xo, yo))):
-                return None
-    if -1 not in om:
-        floating = iter([q for q, p in enumerate(pinv) if p < 0])
-        pm = [next(floating) if q < 0 else q for q in pm]
-    return pm, om
+    if -1 in om:
+        colors = _refine(wa, wb)
+        if colors is None:
+            return None
+        pc, oc = colors
+        pca, pcb, oca, ocb = pc[:np_], pc[np_:], oc[:no], oc[no:]
+        # The ports bound so far must keep their colors (their operators' follow).
+        if any(pca[p] != pcb[q] for p, q in enumerate(pm) if q >= 0):
+            return None
+        same: dict[int, list[int]] = {}
+        for y in range(no):
+            same.setdefault(ocb[y], []).append(y)
+        order = sorted(range(no), key=lambda x: (len(same[oca[x]]), x))
+        # per choice: its place in order, its candidate's index, the trail before it
+        stack: list[tuple[int, int, int]] = []
+        i = k = 0
+        while i < no:
+            x = order[i]
+            if om[x] >= 0:  # forced by the bindings before it
+                i += 1
+                continue
+            cands, mark = same[oca[x]], len(trail)
+            for k in range(k, len(cands)):
+                todo.append((~x, cands[k]))
+                if bind(todo):
+                    stack.append((i, k, mark))
+                    i, k = i + 1, 0
+                    break
+                undo(mark)
+            else:  # no candidate binds: take the last choice's next candidate
+                if not stack:
+                    return None
+                i, k, mark = stack.pop()
+                k += 1
+                undo(mark)
+    floating = iter([q for q, p in enumerate(pinv) if p < 0])
+    return [next(floating) if q < 0 else q for q in pm], om
 
 
 def find_iso(a: Net, b: Net) -> Optional[NetIso]:
-    """A witness isomorphism from ``a`` onto ``b``, or None when none exists:
-    equal wirings map rank to rank, a pair the boundary cone decides takes
-    the cone's answer, and any other pair is searched."""
+    """A witness isomorphism from ``a`` onto ``b``, or None when none exists.
+    Equal wirings map rank to rank; any other pair goes to one search that
+    propagates each binding (:func:`_match`) and refines both nets only when
+    binding the boundary leaves an operator unbound."""
     if a.m != b.m or a.n != b.n:
         return None
     wa, wb = a.wiring, b.wiring
     if len(wa.driver) != len(wb.driver) or len(wa.ops) != len(wb.ops):
         return None
     if (wa.ops, wa.inputs, wa.outputs) == (wb.ops, wb.inputs, wb.outputs):
-        # Equal wirings: the search would color both nets alike, bind each
-        # operator to itself (its first unused candidate) and pair the ports
-        # left over in rank order, so it would map each rank to itself.
+        # Equal wirings: _match would bind each operator to itself, its first
+        # candidate not yet bound, and so map each rank to itself.
         iso = NetIso(dict(zip(wa.port_ids, wb.port_ids)), dict(zip(wa.op_ids, wb.op_ids)))
     else:
-        cone = _cone(wa, wb)
-        if cone is None:
+        found = _match(wa, wb)
+        if found is None:
             return None
-        pm, om = cone
-        if -1 in om:
-            found = _search(wa, wb)
-            if found is None:
-                return None
-            pmap, omap = found
-            iso = NetIso({wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()},
-                         {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()})
-        else:  # the boundary forces the only witness
-            iso = NetIso(dict(zip(wa.port_ids, map(wb.port_ids.__getitem__, pm))),
-                         dict(zip(wa.op_ids, map(wb.op_ids.__getitem__, om))))
-    if not iso.verify(a, b):  # defensive: the cone and the search should guarantee this
+        pm, om = found
+        iso = NetIso(dict(zip(wa.port_ids, map(wb.port_ids.__getitem__, pm))),
+                     dict(zip(wa.op_ids, map(wb.op_ids.__getitem__, om))))
+    if not iso.verify(a, b):  # defensive: _match should guarantee this
         raise RuntimeError("internal error: candidate isomorphism failed verification")
     return iso

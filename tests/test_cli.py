@@ -390,6 +390,41 @@ class TestConfigValues:
         assert err.startswith(f"error config-error: bad value for '{line.split()[0]}': ")
         assert err.endswith("is not a finite number (line 4)")
 
+    @pytest.mark.parametrize("args", [["--input", "1,nan,3"], ["--input", "inf"],
+                                      ["--input", "1", "--scale", "nan"],
+                                      ["--input", "1", "--divc", "inf"]])
+    def test_non_finite_eval_arguments(self, capsys, args):
+        """Refused rather than evaluated into ``nan`` rows, or into ``NaN``
+        and ``Infinity``, which are not JSON, under ``--json``."""
+        flag, value = args[-2:]
+        bad = value.split(",")[1] if "," in value else value
+        message = f"bad value for '{flag}': '{bad}' is not a finite number"
+        assert main(["eval", fx("running_sum.net"), "main", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error config-error: {message}\n"
+        assert main(["eval", fx("running_sum.net"), "main", *args, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"code": "config-error", "message": message}}
+
+    def test_non_finite_csv_samples(self, tmp_path, capsys):
+        """A ``nan`` in an ``eval`` step,value file or in a ``simulate`` csv
+        input is refused like a ``nan`` config value."""
+        steps = tmp_path / "steps.csv"
+        steps.write_text("step,value\n0,1\n1,nan\n2,3\n")
+        assert main(["eval", fx("running_sum.net"), "main", "--input", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error config-error: {steps}: 'nan' is not a finite number\n"
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t,value\n0,0\n0.5,nan\n1,1\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.5\nprobes = 0.25\ninput.0 = csv: samples.csv\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error config-error: {samples}: 'nan' is not a finite number\n"
+
     @pytest.mark.parametrize("line, message", [
         ("x" * 3000, "expected 'key = value', got 'xxxxxxxx"),
         ("input.0 = " + "x" * 3000, "input needs 'expr:' or 'csv:' prefix, got 'xxxxxxxx"),

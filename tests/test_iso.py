@@ -1,5 +1,6 @@
-"""Isomorphism search, cross-checked against a brute-force oracle, and color
-refinement cross-checked against the two-table refinement it replaced."""
+"""Isomorphism search, cross-checked against a brute-force oracle and against
+the search without propagation it replaced, and color refinement
+cross-checked against the two-table refinement it replaced."""
 
 import gc
 import glob
@@ -7,12 +8,14 @@ import json
 import os
 import random
 import sys
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional
+
+import pytest
 
 from kahnets import GenParams, Net, find_iso, gen_random_net, identity, iso, laws, symmetry
 from kahnets.dsl import parse_document
-from kahnets.iso import NetIso, _cone, _refine, _search, identity_iso
+from kahnets.iso import NetIso, _match, _refine, identity_iso
 from kahnets.nets import Wiring, _dense
 from kahnets.stdnets import STD_SIG, build
 from test_golden import GOLDEN, ROOT, net_from_json
@@ -46,6 +49,19 @@ def permute_ports(net: Net, seed: int) -> Net:
     return Net(net.m, net.n, net.ports, net.labels,
                {s: ren[p] for s, p in net.src.items()},
                {s: ren[p] for s, p in net.tgt.items()})
+
+
+@pytest.fixture
+def refined(monkeypatch) -> list:
+    """The calls of ``iso._refine`` from here on, one entry each."""
+    calls: list = []
+
+    def counted(wa: Wiring, wb: Wiring):
+        calls.append(1)
+        return _refine(wa, wb)
+
+    monkeypatch.setattr(iso, "_refine", counted)
+    return calls
 
 
 def test_identity_witness():
@@ -129,10 +145,21 @@ def test_larger_net_roundtrip():
         assert w is not None and w.verify(net, shuffled)
 
 
-def test_a_search_leaves_no_garbage():
-    """A witness and a refusal, found by the boundary cone and by the search,
-    free everything they built as soon as they return: no reference cycle
-    waits for the collector."""
+def iota_rings(*sizes: int, turn: int = 0) -> Net:
+    """Closed rings of ``iota`` operators, one of each of ``sizes``, with no
+    boundary; ``turn`` moves each operator that many ports along its ring."""
+    ops: list = []
+    base = 0
+    for k in sizes:
+        ops += [("iota", (base + (x + turn) % k,), (base + (x + turn + 1) % k,)) for x in range(k)]
+        base += k
+    return _dense(ops, (), (), base)
+
+
+def test_a_search_leaves_no_garbage(refined):
+    """A witness and a refusal from the boundary alone, and a witness and a
+    refusal that take refinement and branching, free everything they built
+    as soon as they return: no reference cycle waits for the collector."""
     with open(os.path.join(ROOT, "fixtures", "paper_example.net"), encoding="utf-8") as handle:
         main = parse_document(handle.read()).net("main")
     shuffled = permute_ports(main, 1)
@@ -143,8 +170,9 @@ def test_a_search_leaves_no_garbage():
         gc.collect()
         assert find_iso(main, shuffled) is not None
         assert find_iso(identity(2), symmetry(1, 1)) is None
-        assert _search(main.wiring, shuffled.wiring) is not None
-        assert _search(identity(2).wiring, symmetry(1, 1).wiring) is None
+        assert find_iso(iota_rings(3), iota_rings(3, turn=1)) is not None
+        assert find_iso(iota_rings(6), iota_rings(3, 3)) is None
+        assert len(refined) == 2
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -155,20 +183,19 @@ def test_the_search_binds_more_operators_than_the_recursion_limit():
     """A ring of more operators than Python's recursion limit against the
     same ring with its ports rotated: the search binds them all."""
     k = sys.getrecursionlimit() + 200
-    ring = _dense([("iota", (x,), ((x + 1) % k,)) for x in range(k)], (), (), k)
-    rotated = _dense([("iota", ((x + 1) % k,), ((x + 2) % k,)) for x in range(k)], (), (), k)
-    w = find_iso(ring, rotated)
+    w = find_iso(iota_rings(k), iota_rings(k, turn=1))
     assert w is not None and w.port_map[0] == 1
 
 
 # ---------------------------------------------------------------------------
-# The equal-wiring shortcut against the search
+# The equal-wiring shortcut against the matcher
 # ---------------------------------------------------------------------------
 
 def test_the_search_maps_equal_wirings_rank_to_rank():
-    """``find_iso`` answers two equal wirings with rank -> rank without a
-    search; on ``(w, w)`` the search itself gives the same, on every fixture
-    net, the stored random nets and random nets of up to 24 operators."""
+    """``find_iso`` answers two equal wirings with rank -> rank without
+    matching them; on ``(w, w)`` the matcher itself gives the same, on every
+    fixture net, the stored random nets and random nets of up to 24
+    operators."""
     nets = []
     for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.net"))):
         with open(path, encoding="utf-8") as handle:
@@ -182,12 +209,11 @@ def test_the_search_maps_equal_wirings_rank_to_rank():
              for seed in range(1000)]
     for net in nets:
         w = net.wiring
-        ports, ops = range(len(w.driver)), range(len(w.ops))
-        assert _search(w, w) == (dict(zip(ports, ports)), dict(zip(ops, ops)))
+        assert _match(w, w) == (list(range(len(w.driver))), list(range(len(w.ops))))
 
 
 # ---------------------------------------------------------------------------
-# The boundary cone against the search
+# The matcher against the search without propagation
 # ---------------------------------------------------------------------------
 
 def dag(rng: random.Random, size: int, m: int = 2) -> Net:
@@ -254,45 +280,55 @@ def relisted(net: Net, rng: random.Random) -> Net:
     return permute_ports(moved, rng.randrange(1000))
 
 
-def cone_agrees_with_search(a: Net, b: Net) -> str:
-    """``find_iso`` gives the verdict of the search alone, and its witness
-    wherever there is one.  Returns how the cone answered: ``"witness"``,
-    ``"refused"``, or ``"search"`` when it left an operator to the search."""
+def agrees_with_reference(a: Net, b: Net, refined: list) -> str:
+    """``find_iso`` gives the verdict of ``reference_search`` and its witness
+    wherever there is one.  Returns the path the matcher takes on the pair:
+    ``"bound"`` or ``"refused"`` by the boundary alone, or ``"refined"``."""
     wa, wb = a.wiring, b.wiring
-    found, got = _search(wa, wb), find_iso(a, b)
+    found, got = reference_search(wa, wb), find_iso(a, b)
     assert (got is None) == (found is None)
     if found is not None:
         pmap, omap = found
         assert got.port_map == {wa.port_ids[p]: wb.port_ids[q] for p, q in pmap.items()}
         assert got.op_map == {wa.op_ids[x]: wb.op_ids[y] for x, y in omap.items()}
-    cone = _cone(wa, wb)
-    return "refused" if cone is None else "search" if -1 in cone[1] else "witness"
+    before = len(refined)
+    matched = _match(wa, wb)
+    return "refined" if len(refined) > before else "refused" if matched is None else "bound"
 
 
-def test_the_cone_agrees_with_the_search_on_random_pairs():
+def test_the_cone_agrees_with_the_search_on_random_pairs(refined):
     """Random nets against a copy with shuffled ports and a copy with one slot
     rewired, and loop-free nets like the benchmark's against a relisted copy,
     a copy with one operator relabelled and a copy with the inputs of a
     non-commutative operator swapped."""
     rng = random.Random(13)
-    paths = {"witness": 0, "refused": 0, "search": 0}
+    paths = {"bound": 0, "refused": 0, "refined": 0}
     for seed in range(1000):
         net = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=12))
         for other in (permute_ports(net, seed), rewired(net, rng)):
-            paths[cone_agrees_with_search(net, other)] += 1
+            paths[agrees_with_reference(net, other, refined)] += 1
     for size in range(2, 66):
         net = dag(rng, size)
-        assert cone_agrees_with_search(net, relisted(net, rng)) == "witness"
-        assert cone_agrees_with_search(net, relabelled(net, rng)) == "refused"
+        assert agrees_with_reference(net, relisted(net, rng), refined) == "bound"
+        assert agrees_with_reference(net, relabelled(net, rng), refined) == "refused"
         bad = swapped(net, rng)
         if bad is not None:
-            assert cone_agrees_with_search(net, bad) == "refused"
+            assert agrees_with_reference(net, bad, refined) == "refused"
             paths["refused"] += 1
-        paths["witness"] += 1
+        paths["bound"] += 1
     assert min(paths.values()) > 100, paths
 
 
-def test_the_cone_refuses_what_the_boundary_rules_out():
+def test_the_matcher_agrees_with_the_search_on_the_law_suites(law_pairs, refined):
+    """Every pair the law suites compare at seeds 0-2, the pairs that branch
+    among them."""
+    paths = {"bound": 0, "refused": 0, "refined": 0}
+    for a, b in law_pairs:
+        paths[agrees_with_reference(a, b, refined)] += 1
+    assert paths["refined"] > 100, paths
+
+
+def test_the_cone_refuses_what_the_boundary_rules_out(refined):
     """Pairs the walk from the boundary refuses on its own: an undriven port
     against a driven one, two boundary ports swapped, and an operator whose
     output ports would be bound to two operators' ports."""
@@ -303,52 +339,127 @@ def test_the_cone_refuses_what_the_boundary_rules_out():
     beta = _dense([("beta", (0, 1), (2, 3)), ("beta", (2, 3), (4, 5))], (0, 1), (4, 5), 6)
     crossed = _dense([("beta", (0, 1), (2, 3)), ("beta", (2, 3), (5, 4))], (0, 1), (4, 5), 6)
     for a, b in ((undriven, driven), (identity(2), symmetry(1, 1)), (beta, crossed)):
-        assert _cone(a.wiring, b.wiring) is None
-        assert _search(a.wiring, b.wiring) is None and find_iso(a, b) is None
+        assert _match(a.wiring, b.wiring) is None and find_iso(a, b) is None
+        assert reference_search(a.wiring, b.wiring) is None
+    assert refined == []
 
 
-def test_a_long_chain_is_matched_without_refinement(monkeypatch):
+def test_a_long_chain_is_matched_without_refinement(refined):
     """A chain of 4,096 ``scale`` operators against the same chain listed in
-    reverse: the cone binds every operator, so nothing is refined."""
-    calls = []
-
-    def counted(wa: Wiring, wb: Wiring):
-        calls.append(1)
-        return _refine(wa, wb)
-
-    monkeypatch.setattr(iso, "_refine", counted)
+    reverse: the boundary binds every operator, so nothing is refined."""
     k = 4096
     chain = _dense([("scale", (x,), (x + 1,)) for x in range(k)], (0,), (k,), k + 1)
     reverse = _dense([("scale", (x,), (x + 1,)) for x in reversed(range(k))], (0,), (k,), k + 1)
     w = find_iso(chain, reverse)
-    assert w is not None and calls == []
+    assert w is not None and refined == []
     assert w.op_map == {x: k - 1 - x for x in range(k)}
     assert w.port_map == {p: p for p in range(k + 1)}
 
 
-def test_an_operator_outside_the_cone_is_left_to_the_search(monkeypatch):
-    """An operator that no boundary output depends on is not bound by the
-    walk from the boundary, so the search answers, found or not."""
-    calls = []
-
-    def counted(wa: Wiring, wb: Wiring):
-        calls.append(1)
-        return _search(wa, wb)
-
-    monkeypatch.setattr(iso, "_search", counted)
+def test_an_operator_outside_the_cone_is_left_to_the_search(refined):
+    """An operator that no boundary output depends on is not bound from the
+    boundary, so both nets are refined once and searched, found or not."""
     # in -> scale -> out, and an iota reading the input that nothing reads
     net = _dense([("scale", (0,), (1,)), ("iota", (0,), (2,))], (0,), (1,), 3)
     relisted_ = _dense([("iota", (0,), (1,)), ("scale", (0,), (2,))], (0,), (2,), 3)
     unread_eps = _dense([("scale", (0,), (1,)), ("eps", (0,), (2,))], (0,), (1,), 3)
-    assert _cone(net.wiring, relisted_.wiring)[1] == [1, -1]
     w = find_iso(net, relisted_)
-    assert w is not None and w.op_map == {0: 1, 1: 0} and len(calls) == 1
-    assert find_iso(net, unread_eps) is None and len(calls) == 2
+    assert w is not None and w.op_map == {0: 1, 1: 0} and len(refined) == 1
+    assert find_iso(net, unread_eps) is None and len(refined) == 2
 
 
 # ---------------------------------------------------------------------------
-# Colour refinement against the reference
+# The references: the search and the colour refinement as they were
 # ---------------------------------------------------------------------------
+
+def reference_search(wa: Wiring, wb: Wiring) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """The search as it was before it propagated bindings: the rank maps
+    (ports, operators) of a witness from ``wa`` onto ``wb``, or None when
+    there is none.  Operators are bound fewest candidates first (then by
+    rank), each to the first candidate of its color, by rank, that is still
+    unused and whose ports bind, backtracking on failure; the ports left
+    over are paired in rank order within their color."""
+    # Boundary attachment forces part of the port bijection.
+    forced: dict[int, int] = dict(zip(wa.inputs, wb.inputs))
+    for pa, pb in zip(wa.outputs, wb.outputs):
+        if forced.get(pa, pb) != pb:
+            return None
+        forced[pa] = pb
+    if len(set(forced.values())) != len(forced):
+        return None
+
+    colors = _refine(wa, wb)
+    if colors is None:
+        return None
+    pc, oc = colors
+    np_, no = len(wa.driver), len(wa.ops)
+    pc_b = pc[np_:]
+    for pa, pb in forced.items():
+        if pc[pa] != pc_b[pb]:
+            return None
+
+    same: dict[int, list[int]] = {}
+    for y in range(no):
+        same.setdefault(oc[no + y], []).append(y)
+    candidates = [same[oc[x]] for x in range(no)]
+    order = sorted(range(no), key=lambda x: (len(candidates[x]), x))
+
+    pmap: dict[int, int] = dict(forced)
+    pused: set[int] = set(forced.values())
+    omap: dict[int, int] = {}
+    oused: set[int] = set()
+    stack: list[tuple[int, list[int]]] = []  # per bound operator: its candidate index, the ports it bound
+    i = start = 0
+    while i < len(order):
+        x = order[i]
+        _, ain, aout = wa.ops[x]
+        cands = candidates[x]
+        for k in range(start, len(cands)):
+            y = cands[k]
+            if y in oused:
+                continue
+            _, bin_, bout = wb.ops[y]
+            undo: list[int] = []
+            for pa, pb in chain(zip(ain, bin_), zip(aout, bout)):
+                cur = pmap.get(pa)
+                if cur is None:
+                    if pb in pused or pc[pa] != pc_b[pb]:
+                        break
+                    pmap[pa] = pb
+                    pused.add(pb)
+                    undo.append(pa)
+                elif cur != pb:
+                    break
+            else:
+                omap[x] = y
+                oused.add(y)
+                stack.append((k, undo))
+                i, start = i + 1, 0
+                break
+            for pa in undo:
+                pused.discard(pmap.pop(pa))
+        else:  # no candidate binds: rebind the operator bound last to its next candidate
+            if not stack:
+                return None
+            i -= 1
+            start, undo = stack.pop()
+            start += 1
+            oused.discard(omap.pop(order[i]))
+            for pa in undo:
+                pused.discard(pmap.pop(pa))
+
+    # Ports left over are attached to nothing; pair them up within classes.
+    # Every binding kept colors, and _refine balanced each class, so each
+    # class has as many ports left over in one net as in the other.
+    free: dict[int, list[int]] = {}
+    for q in range(np_):
+        if q not in pused:
+            free.setdefault(pc_b[q], []).append(q)
+    for p in range(np_):
+        if p not in pmap:
+            pmap[p] = free[pc[p]].pop(0)
+    return pmap, omap
+
 
 def reference_refine(a: Wiring, b: Wiring) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
     """Colour refinement as it was done with two tables per step: each net
@@ -423,7 +534,8 @@ def assert_refines_as_reference(a: Net, b: Net) -> bool:
     return True
 
 
-def test_refinement_agrees_with_the_reference_on_the_law_suites(monkeypatch):
+@pytest.fixture(scope="module")
+def law_pairs() -> list[tuple[Net, Net]]:
     """Every pair that ``find_iso`` compares in the law suites, seeds 0-2."""
     seen = []
 
@@ -431,12 +543,18 @@ def test_refinement_agrees_with_the_reference_on_the_law_suites(monkeypatch):
         seen.append((a, b))
         return find_iso(a, b)
 
-    monkeypatch.setattr(laws, "find_iso", recording)
-    for seed in range(3):
-        for axiom in laws.ALL_AXIOMS:
-            assert laws.run_suite(axiom, GenParams(seed=seed, signature=STD_SIG), 40).ok
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laws, "find_iso", recording)
+        for seed in range(3):
+            for axiom in laws.ALL_AXIOMS:
+                assert laws.run_suite(axiom, GenParams(seed=seed, signature=STD_SIG), 40).ok
     assert len(seen) == 3 * (len(laws.ALL_AXIOMS) + 2) * 40  # the unit laws compare twice
-    for a, b in seen:
+    return seen
+
+
+def test_refinement_agrees_with_the_reference_on_the_law_suites(law_pairs):
+    """Every pair that ``find_iso`` compares in the law suites, seeds 0-2."""
+    for a, b in law_pairs:
         assert_refines_as_reference(a, b)
 
 

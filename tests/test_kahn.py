@@ -17,6 +17,7 @@ from kahnets import (ArityMismatch, CtFn, GenParams, Interpretation,
                      is_prefix, minus_fn, normalize, parse_document, plus_fn,
                      sample, scale_fn, tensor, trace, trace_fn)
 from kahnets.stdnets import KINDS, STD_SIG, build, it_interpretation, std_interpretation
+from test_iso import permute_ports
 
 INTERP = std_interpretation(scale=2.0, divc=2.0)
 
@@ -220,9 +221,6 @@ class TestRewriteRespectsSemantics:
         assert windowed(net, []) == windowed(shared, []) == ((0.0,) * 40,)
 
     def test_denotation_invariant_under_isomorphism(self):
-        import sys, os
-        sys.path.insert(0, os.path.dirname(__file__))
-        from test_iso import permute_ports
         rng = random.Random(14)
         for seed in range(20):
             net = gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=5))
