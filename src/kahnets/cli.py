@@ -17,7 +17,16 @@ usage error is ``error usage-error: <message>``, or with ``--json`` anywhere
 in the arguments ``{"error": {"code": "usage-error", "message": ...}}``.
 When ``eval`` runs out of sweeps before its fixpoint, it still prints the
 outputs and exits 0, after one ``warning budget-exhausted: <message>`` line
-on stderr.
+on stderr.  ``eval`` and ``simulate`` print only finite numbers: a
+non-finite value they would print is an ``out-of-domain`` error, exit 3.
+
+Importing this module loads no other kahnets module but ``errors``, and the
+parser is built without loading any: each subcommand loads the modules it
+runs when it runs, so a command pays only for its own layers.  Four names
+stay attributes of this module, looked up when a command runs, because code
+outside it rebinds them: ``std_interpretation`` and ``it_interpretation``
+(the benchmark's tracer wraps them to time each operator), and ``validate``
+and ``delta_independence`` (tests replace them).
 """
 
 from __future__ import annotations
@@ -25,22 +34,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
-from .config import _finite, load_stream_csv, parse_config
-from .dsl import NetDocument, format_document, net_to_def, parse_document
-from .errors import ConfigError, DslSyntaxError, KahnetsError, UndeclaredPort
-from .iso import find_iso
-from .kahn import denote
-from .laws import ALL_AXIOMS, run_suite
-from .nets import Net, validate
-from .nstime import delta_independence
-from .randnets import GenParams
-from .rewrite import normalize, se_witness
-from .stdnets import it_interpretation, std_interpretation, std_signature
+from .errors import ConfigError, DslSyntaxError, KahnetsError, OutOfDomain, UndeclaredPort
+
+if TYPE_CHECKING:
+    from .dsl import NetDocument
+    from .nets import Net, Signature
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -77,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Parsing leaves it unchanged: the
     ``append`` action copies its default list before adding to it, and no
     handler changes its arguments."""
-    parser = _ArgumentParser(prog="kahnets", description=__doc__,
+    # The help shows the docstring up to its notes on module loading.
+    description = __doc__.partition("\n\nImporting this module")[0]
+    parser = _ArgumentParser(prog="kahnets", description=description,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"kahnets {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -132,11 +138,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="check algebraic laws on random nets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="instances per law")
-    p.add_argument("--axiom", choices=sorted(ALL_AXIOMS), help="check only this law")
+    axiom = p.add_argument("--axiom", choices=_AxiomNames(), metavar="AXIOM",
+                           help="check only this law")
+    axiom.metavar = None  # set only while adding, which would list the choices
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_laws)
 
     return parser
+
+
+class _AxiomNames:
+    """The choices of ``laws --axiom``, read from ``laws`` only when a value is
+    checked or the help printed, so that building the parser loads no law."""
+
+    def __iter__(self):
+        from .laws import ALL_AXIOMS
+        return iter(sorted(ALL_AXIOMS))
+
+    def __contains__(self, name) -> bool:
+        from .laws import ALL_AXIOMS
+        return name in ALL_AXIOMS
+
+
+# Rebound from outside this module (see its docstring), so looked up here when
+# a command runs.
+
+def std_interpretation(scale: float = 1.0, divc: float = 1.0):
+    from .stdnets import std_interpretation
+    return std_interpretation(scale=scale, divc=divc)
+
+
+def it_interpretation(delta: float):
+    from .stdnets import it_interpretation
+    return it_interpretation(delta)
+
+
+def validate(net: Net, sig: Signature):
+    from .nets import validate
+    return validate(net, sig)
+
+
+def delta_independence(net: Net, ct_inputs, sched, probes, tmax, make_interp):
+    from .nstime import delta_independence
+    return delta_independence(net, ct_inputs, sched, probes, tmax, make_interp)
 
 
 def _emit_error(exc: KahnetsError, as_json: bool) -> None:
@@ -146,16 +190,17 @@ def _emit_error(exc: KahnetsError, as_json: bool) -> None:
             payload["error"]["line"] = exc.line
             if exc.col is not None:
                 payload["error"]["col"] = exc.col
-        print(json.dumps(payload), file=sys.stderr)
+        print(_dumps(payload), file=sys.stderr)
     else:
         print(f"error {exc.format()}", file=sys.stderr)
 
 
 def _load(path: str) -> NetDocument:
+    from .dsl import parse_document
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DslSyntaxError(f"cannot read {path}: {exc}") from None
     return parse_document(text)
 
@@ -193,6 +238,19 @@ def _create(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _dumps(payload, **kwargs) -> str:
+    """``payload`` as JSON, which has no NaN or Infinity."""
+    return json.dumps(payload, allow_nan=False, **kwargs)
+
+
+def _refuse_non_finite(values: Sequence[float], where: Callable[[int], str]) -> None:
+    """An ``out-of-domain`` error, naming ``where(k)``, on the first value
+    ``values[k]`` that is not finite."""
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            raise OutOfDomain(f"{where(k)} is {v}, not a finite number")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out:
         with _create(out) as handle:
@@ -215,7 +273,7 @@ def _cmd_check(args) -> int:
         ok = ok and report.ok
         results.append((name, report))
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "ok": ok,
             "nets": [{"name": name,
                       "ok": rep.ok,
@@ -233,10 +291,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .dsl import NetDocument, format_document, net_to_def
+    from .rewrite import normalize
     doc = _load(args.file)
     shared = normalize(_valid_net(doc, args.net))
     if args.json:
-        print(json.dumps({"net": net_to_json(shared.net), "steps": shared.steps}, indent=2))
+        print(_dumps({"net": net_to_json(shared.net), "steps": shared.steps}, indent=2))
     else:
         out_doc = NetDocument(doc.signature, (net_to_def(shared.net, args.net),))
         sys.stdout.write(format_document(out_doc))
@@ -244,6 +304,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .iso import find_iso
     doc = _load(args.file)
     witness = find_iso(_valid_net(doc, args.net1), _valid_net(doc, args.net2))
     if args.json:
@@ -251,17 +312,18 @@ def _cmd_iso(args) -> int:
         if witness is not None:
             payload["port_map"] = {str(k): v for k, v in sorted(witness.port_map.items())}
             payload["op_map"] = {str(k): v for k, v in sorted(witness.op_map.items())}
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     else:
         print("isomorphic" if witness is not None else "not isomorphic")
     return 0 if witness is not None else 1
 
 
 def _cmd_se_equiv(args) -> int:
+    from .rewrite import se_witness
     doc = _load(args.file)
     witness = se_witness(_valid_net(doc, args.net1), _valid_net(doc, args.net2))
     if args.json:
-        print(json.dumps({"equivalent": witness is not None}, indent=2))
+        print(_dumps({"equivalent": witness is not None}, indent=2))
     else:
         print("equivalent" if witness is not None else "not equivalent")
     return 0 if witness is not None else 1
@@ -269,6 +331,7 @@ def _cmd_se_equiv(args) -> int:
 
 def _finite_arg(flag: str, text: str) -> float:
     """``text``, given to ``flag``, as a finite number, or a config error."""
+    from .config import _finite
     try:
         return _finite(text)
     except ValueError as exc:
@@ -277,26 +340,32 @@ def _finite_arg(flag: str, text: str) -> float:
 
 def _parse_input_spec(spec: str) -> tuple[float, ...]:
     if os.path.exists(spec):
+        from .config import load_stream_csv
         return load_stream_csv(spec)
     return tuple(_finite_arg("--input", v) for v in spec.split(",") if v.strip())
 
 
 def _cmd_eval(args) -> int:
+    from .kahn import denote
     if args.budget < 0:
         raise ConfigError(f"--budget must be at least 0, got {args.budget}")
-    interp = std_interpretation(scale=_finite_arg("--scale", args.scale),
-                                divc=_finite_arg("--divc", args.divc))
+    scale, divc = _finite_arg("--scale", args.scale), _finite_arg("--divc", args.divc)
+    if divc == 0:
+        raise ConfigError(f"bad value for '--divc': {args.divc.strip()!r} would divide by zero")
+    interp = std_interpretation(scale=scale, divc=divc)
     doc = _load(args.file)
     net = _valid_net(doc, args.net)
     inputs = [_parse_input_spec(spec) for spec in args.input]
     outputs, stats = denote(net, interp, inputs, budget=args.budget, return_stats=True)
+    for i, out in enumerate(outputs):
+        _refuse_non_finite(out, lambda k: f"output {i} at step {k}")
     if not stats.reached_fixpoint:
         print(f"warning budget-exhausted: no fixpoint within {stats.sweeps} sweeps, "
               f"outputs may be cut short (raise --budget)", file=sys.stderr)
 
     if args.json:
-        _write(json.dumps({"outputs": [list(o) for o in outputs], "sweeps": stats.sweeps,
-                           "reached_fixpoint": stats.reached_fixpoint}) + "\n", args.out)
+        _write(_dumps({"outputs": [list(o) for o in outputs], "sweeps": stats.sweeps,
+                       "reached_fixpoint": stats.reached_fixpoint}) + "\n", args.out)
         return 0
     headers = ["step"] + (["value"] if net.n == 1 else [f"value{i}" for i in range(net.n)])
     lines = [",".join(headers)]
@@ -309,12 +378,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .config import parse_config
     doc = _load(args.file)
     net = _valid_net(doc, args.net)
     try:
         with open(args.config, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
     cfg = parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if len(cfg.inputs) != net.m:
@@ -322,13 +392,20 @@ def _cmd_simulate(args) -> int:
 
     indep = delta_independence(net, cfg.inputs, cfg.schedule, cfg.probes, cfg.tmax,
                                it_interpretation)
-
+    deltas = cfg.schedule.deltas
+    for row in indep.rows:
+        at = f"output {row.output} at probe {row.probe}"
+        _refuse_non_finite(row.values, lambda k: f"{at} for period {deltas[k]}")
+        _refuse_non_finite((row.spread,), lambda _: f"the spread of {at}")
     if args.trace_dir:
+        for d, outs in zip(deltas, indep.outputs):
+            for idx, stream in enumerate(outs):
+                _refuse_non_finite(stream.values, lambda k: f"output {idx} at step {k} of period {d}")
         try:
             os.makedirs(args.trace_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create {args.trace_dir}: {exc}") from None
-        for d, outs in zip(cfg.schedule.deltas, indep.outputs):
+        for d, outs in zip(deltas, indep.outputs):
             for idx, stream in enumerate(outs):
                 path = os.path.join(args.trace_dir, f"trace_out{idx}_delta{d}.csv")
                 with _create(path) as handle:
@@ -337,14 +414,14 @@ def _cmd_simulate(args) -> int:
                         handle.write(f"{k * d},{v}\n")
 
     if args.json:
-        _write(json.dumps({
+        _write(_dumps({
             "tol": indep.tol,
             "max_spread": indep.max_spread,
             "agree": indep.ok,
             "probes": [{
                 "output": row.output,
                 "probe": row.probe,
-                "values": dict(zip(map(str, cfg.schedule.deltas), row.values)),
+                "values": dict(zip(map(str, deltas), row.values)),
                 "spread": row.spread,
                 "standard_part": {"converged": row.standard.converged,
                                   "value": row.standard.value},
@@ -353,7 +430,7 @@ def _cmd_simulate(args) -> int:
 
     lines = ["output,probe,delta,value"]
     for row in indep.rows:
-        for d, v in zip(cfg.schedule.deltas, row.values):
+        for d, v in zip(deltas, row.values):
             lines.append(f"{row.output},{row.probe},{d},{v}")
         st = row.standard
         lines.append(f"{row.output},{row.probe},st,{st.value if st.converged else 'nonconvergent'}")
@@ -362,6 +439,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from .laws import ALL_AXIOMS, run_suite
+    from .randnets import GenParams
+    from .stdnets import std_signature
     if args.count < 0:
         raise ConfigError(f"--count must be at least 0, got {args.count}")
     params = GenParams(seed=args.seed, signature=std_signature())
@@ -369,9 +449,9 @@ def _cmd_laws(args) -> int:
     results = [run_suite(axiom, params, args.count) for axiom in axioms]
     ok = all(r.ok for r in results)
     if args.json:
-        print(json.dumps({"ok": ok,
-                          "suites": [{"axiom": r.axiom, "total": r.total, "passed": r.passed}
-                                     for r in results]}, indent=2))
+        print(_dumps({"ok": ok,
+                      "suites": [{"axiom": r.axiom, "total": r.total, "passed": r.passed}
+                                 for r in results]}, indent=2))
     else:
         for r in results:
             print(f"{'PASS' if r.ok else 'FAIL'} {r.axiom}: {r.passed}/{r.total}")

@@ -20,6 +20,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 from .exprs import _echo, parse_expr
@@ -132,43 +133,36 @@ def _parse_input(key: str, value: str, base_dir: str, line: int, col: int) -> Ct
 
 def load_continuous_csv(path: str) -> CtFn:
     """Read a ``t,value`` file and interpolate it linearly."""
-    ts: list[float] = []
-    vs: list[float] = []
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-                raise ConfigError(f"{path}: expected header 't,value'")
-            for row in reader:
-                if not row:
-                    continue
-                ts.append(_finite(row[0]))
-                vs.append(_finite(row[1]))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if not ts:
+    rows = _csv_rows(path, "t,value", lambda row: (_finite(row[0]), _finite(row[1])))
+    if not rows:
         raise ConfigError(f"{path}: no samples")
+    ts, vs = zip(*rows)
     return CtFn.from_samples(ts, vs, name=os.path.basename(path))
 
 
 def load_stream_csv(path: str) -> tuple[float, ...]:
     """Read a discrete ``step,value`` file into a stream prefix (row order)."""
-    values: list[float] = []
+    return tuple(_csv_rows(path, "step,value", lambda row: _finite(row[1])))
+
+
+def _csv_rows(path: str, header: str, read: Callable[[list[str]], object]) -> list:
+    """``read`` of each non-empty row of a CSV file whose first two columns are
+    headed ``header``; a row with fewer than two cells is a config error."""
+    out = []
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["step", "value"]:
-                raise ConfigError(f"{path}: expected header 'step,value'")
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first[:2]] != header.split(","):
+                raise ConfigError(f"{path}: expected header {header!r}")
             for row in reader:
-                if not row:
-                    continue
-                values.append(_finite(row[1]))
+                if len(row) == 1:
+                    raise ConfigError(f"{path}: row on line {reader.line_num} has one cell, "
+                                      f"expected two ({header!r})")
+                if row:
+                    out.append(read(row))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return tuple(values)
+    return out

@@ -3,7 +3,9 @@
 ``bench/run.py --smoke`` drives the CLI through every workload, untraced and
 traced, and compares each answer with an oracle that does not use kahnets.
 A change under ``src/`` that breaks an interface the benchmark relies on
-fails here rather than only when the benchmark is next run.
+fails here rather than only when the benchmark is next run.  So does one that
+moves a traced function out of the tracer's reach: a layer the workload runs
+then reads 0 calls.
 """
 
 import os
@@ -12,6 +14,15 @@ import subprocess
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+#: Per-round counts that each traced workload's layers must reach.
+REACHED = {
+    "simulate/1": ("kahn.operator_calls", "nstime.denote_it.calls", "dsl.parse_document.calls"),
+    "laws/1": ("laws.instances", "iso.find_iso.calls", "nets.compose.calls",
+               "rewrite.normalize.calls"),
+    "bignets/1": ("dsl.parse_document.calls", "rewrite.normalize.calls", "iso.find_iso.calls",
+                  "kahn.operator_calls"),
+}
 
 
 def test_smoke_run_is_correct():
@@ -24,3 +35,6 @@ def test_smoke_run_is_correct():
     assert len(rows) == 6, done.stdout
     for row in rows:
         assert " failed=0 correct=True " in row, row
+        counts = {name: float(value) for name, value in re.findall(r"(\S+)=(\S+) count", row)}
+        for name in REACHED.get(row.split()[0], ()):
+            assert counts[name] > 0, (name, row)

@@ -10,7 +10,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from kahnets import cli, nstime
@@ -331,6 +331,83 @@ class TestBadArguments:
         self.assert_config_error(capsys, ["laws", "--count", "-1"])
 
 
+class TestContractHoles:
+    """Inputs that once escaped as a traceback or printed non-JSON now give one
+    error line."""
+
+    def test_divc_zero_is_refused_before_evaluating(self, capsys):
+        argv = ["eval", fx("differentiation.net"), "main", "--input", "1,2,3", "--divc", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error config-error: bad value for '--divc': '0' would divide by zero\n"
+
+    def test_csv_row_with_one_cell(self, tmp_path, capsys):
+        steps = tmp_path / "steps.csv"
+        steps.write_text("step,value\n0,1\n1\n")
+        assert main(["eval", fx("running_sum.net"), "main", "--input", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error config-error: {steps}: row on line 3 has one cell, "
+                                f"expected two ('step,value')\n")
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t,value\n0,0\n0.5\n1,1\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.5\nprobes = 0.25\ninput.0 = csv: samples.csv\n")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error config-error: {samples}: row on line 3 has one cell, "
+                                f"expected two ('t,value')\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    def test_non_finite_eval_output(self, capsys, fmt):
+        """Finite inputs that overflow are an evaluation error, whatever the
+        output format, rather than ``inf`` rows or ``Infinity``, not JSON."""
+        message = "output 0 at step 1 is inf, not a finite number"
+        assert main(["eval", fx("running_sum.net"), "main", "--input", "1e308,1e308", *fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if fmt:
+            assert json.loads(captured.err) == {"error": {"code": "out-of-domain",
+                                                          "message": message}}
+        else:
+            assert captured.err == f"error out-of-domain: {message}\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    def test_non_finite_simulate_output(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.1\nprobes = 0.05\ninput.0 = expr: 1e308\n")
+        argv = ["simulate", fx("running_sum.net"), "main", "--config", str(cfg), *fmt]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "out-of-domain" in captured.err
+        assert "output 0 at probe 0.05 for period 0.01 is inf, not a finite number" in captured.err
+
+    def test_non_finite_trace_is_refused_before_writing(self, tmp_path, capsys):
+        """A probe can be finite while a later step of its trace is not."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("delta = 0.01\ntmax = 0.1\nprobes = 0\ninput.0 = expr: 1e308\n")
+        traces = tmp_path / "traces"
+        argv = ["simulate", fx("running_sum.net"), "main", "--config", str(cfg),
+                "--trace-dir", str(traces)]
+        assert main(argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error out-of-domain: output 0 at step 1 of period 0.01 is inf, not a finite number"
+        assert not traces.exists()
+
+    def test_undecodable_files_are_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00net")
+        assert main(["check", str(bad)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error syntax-error: cannot read {bad}: ")
+        assert main(["simulate", fx("integration.net"), "main", "--config", str(bad)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error config-error: cannot read {bad}: ")
+
+
 class TestUsageErrors:
     """argparse's usage errors are one ``error usage-error:`` line, exit 2."""
 
@@ -625,3 +702,138 @@ def test_fuzzed_configs_keep_the_error_contract(text):
         assert ERROR_LINE.match(line), line
     else:
         assert not any(line.startswith("error") for line in err.splitlines())
+
+
+
+
+def input_counts(path: str) -> dict[str, int]:
+    with open(path, encoding="utf-8") as handle:
+        return {nd.name: len(nd.inputs) for nd in parse_document(handle.read()).nets}
+
+
+#: Each fixture file and the number of inputs of each of its nets.
+CONTRACT_NETS = {os.path.basename(path): input_counts(path) for path in FUZZ_FIXTURES}
+CONTRACT_VALUES = ("nan", "inf", "-inf", "0", "-0", "1e308", "-3", "", "1", "2.5", "x",
+                   "1,2,3", "1e308,1e308", "-1e308,1e308")
+#: Bodies of ``step,value`` / ``t,value`` files, ``{h}`` standing for the header.
+CONTRACT_CSV = (b"{h}\n0,1\n1,2\n", b"{h}\n0,1\n1\n", b"{h}\n", b"", b"a,b\n0,1\n",
+                b"{h}\n0,nan\n", b"{h}\n0,1e308\n1,1e308\n", b"{h}\n0,1\x00\n",
+                b"{h}\n0,\xff\n", b"{h}\n0,1,2\n1,2,3\n", b"{h}\n\n0;1\n")
+PROPERTY_COMMANDS = ("check", "iso", "se-equiv", "laws")
+
+
+@st.composite
+def contract_case(draw):
+    """An argv for ``cli.main`` and the files it names: a subcommand, a fixture
+    net (or a net in a missing or undecodable file), option values from
+    ``CONTRACT_VALUES`` and damaged CSV and config files.  Paths in the argv
+    start with ``{tmp}/`` or ``{fx}/``."""
+    files = {}
+    value = lambda: draw(st.one_of(st.sampled_from(("1", "2", "0.5", "1,2,3")),
+                                   st.sampled_from(CONTRACT_VALUES)))
+
+    def csv_file(header: str) -> str:
+        name = f"{header.replace(',', '-')}{len(files)}.csv"
+        files[name] = draw(st.sampled_from(CONTRACT_CSV)).replace(b"{h}", header.encode())
+        return name
+
+    command = draw(st.sampled_from(("check", "normalize", "iso", "se-equiv", "eval",
+                                    "simulate", "laws")))
+    if command == "laws":
+        argv = ["laws", "--count", draw(st.sampled_from(("0", "1", "2", "-3", "", "1e308")))]
+        if draw(st.booleans()):
+            argv += ["--seed", value()]
+        if draw(st.booleans()):
+            argv += ["--axiom", draw(st.sampled_from(("vanishing", "yanking", "nope", "")))]
+    else:
+        fixture = draw(st.sampled_from(sorted(CONTRACT_NETS) + ["missing.net", "garbled.net"]))
+        if fixture == "garbled.net":
+            files[fixture] = b"\xff\xfenet main : 0 -> 0\n"
+        path = "{tmp}/" + fixture if fixture in files or fixture == "missing.net" else "{fx}/" + fixture
+        inputs = CONTRACT_NETS.get(fixture, {"main": 0})
+        net = lambda: draw(st.sampled_from(sorted(inputs)))
+        argv = [command, path]
+        if command == "check":
+            argv += draw(st.lists(st.sampled_from(sorted(inputs)), max_size=1))
+        elif command == "normalize":
+            argv += [net()]
+        elif command in ("iso", "se-equiv"):
+            argv += [net(), net()]
+        elif command == "eval":
+            argv += [net()]
+            count = inputs[argv[-1]] if draw(st.booleans()) else draw(st.integers(0, 2))
+            for _ in range(count):
+                argv += ["--input", "{tmp}/" + csv_file("step,value") if draw(st.booleans())
+                         else value()]
+            for flag in ("--scale", "--divc", "--budget"):
+                if draw(st.booleans()):
+                    argv += [flag, value()]
+        else:
+            # A config that samples the window 0..tmax, with no tmax of 1e308:
+            # that is a legitimately long run, not a broken contract.
+            keys = {"delta": value(), "tmax": draw(st.sampled_from(
+                        [v for v in CONTRACT_VALUES if "e308" not in v] + ["0.2"])),
+                    "probes": draw(st.sampled_from(("0.1", "0.05, 0.1", value()))),
+                    "input.0": draw(st.sampled_from(("expr: sin(t)", "expr: 1e308 * t",
+                                                     "expr: " + value(),
+                                                     "csv: " + csv_file("t,value"))))}
+            lines = ["delta = 0.01", "tmax = 0.2", "tol = 1e-2", "probes = 0.1",
+                     "input.0 = expr: sin(t)"]
+            for _ in range(draw(st.integers(0, 2))):
+                key = draw(st.sampled_from(sorted(keys)))
+                lines = [f"{key} = {keys[key]}" if line.startswith(key + " ") else line
+                         for line in lines]
+            if draw(st.booleans()):
+                del lines[draw(st.integers(0, len(lines) - 1))]
+            files["run.cfg"] = ("\n".join(lines) + "\n").encode()
+            argv += [net(), "--config", "{tmp}/run.cfg"]
+            if draw(st.booleans()):
+                argv += ["--trace-dir", "{tmp}/traces"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, files
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(contract_case())
+@example((["eval", "{fx}/differentiation.net", "main", "--input", "1,2,3", "--divc", "0"], {}))
+@example((["eval", "{fx}/running_sum.net", "main", "--input", "{tmp}/s.csv"],
+          {"s.csv": b"step,value\n0,1\n1\n"}))
+@example((["eval", "{fx}/running_sum.net", "main", "--input", "1e308,1e308", "--json"], {}))
+def test_every_command_keeps_the_error_contract(case):
+    """Any argv exits 0, 1, 2 or 3; 1 only from a property command; 2 or 3
+    with exactly one error line (or JSON error object) on stderr and nothing
+    on stdout; and ``--json`` output is JSON, without NaN or Infinity."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as handle:
+                handle.write(data)
+        argv = [a.replace("{tmp}", tmp).replace("{fx}", FIXTURES) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+    as_json = "--json" in argv
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert code != 1 or argv[0] in PROPERTY_COMMANDS, argv
+    if code in (2, 3):
+        (line,) = err.splitlines()
+        assert out == "", argv
+        if as_json:
+            error = json.loads(line, parse_constant=reject_constant)["error"]
+            assert re.fullmatch(r"[a-z-]+", error["code"]) and error["message"], argv
+        else:
+            assert re.match(r"error [a-z-]+: ", line), (argv, line)
+        return
+    assert not any(line.startswith("error") for line in err.splitlines()), argv
+    if as_json:
+        json.loads(out, parse_constant=reject_constant)
