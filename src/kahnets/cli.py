@@ -40,7 +40,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
-from .errors import ConfigError, DslSyntaxError, KahnetsError, OutOfDomain, UndeclaredPort
+from .errors import ConfigError, DslSyntaxError, KahnetsError, OutOfDomain, UndeclaredPort, _finite
 
 if TYPE_CHECKING:
     from .dsl import NetDocument
@@ -331,7 +331,6 @@ def _cmd_se_equiv(args) -> int:
 
 def _finite_arg(flag: str, text: str) -> float:
     """``text``, given to ``flag``, as a finite number, or a config error."""
-    from .config import _finite
     try:
         return _finite(text)
     except ValueError as exc:

@@ -17,13 +17,12 @@ configured step halved four times is used.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError
-from .exprs import _echo, parse_expr
+from .errors import ConfigError, _echo, _finite
+from .exprs import parse_expr
 from .nstime import CtFn, DeltaSchedule, SamplingPeriod, default_schedule, stable_floor
 
 
@@ -100,16 +99,6 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
                 raise ConfigError(f"probe {x} is outside the window: it is step {step} of period "
                                   f"{d}, which holds steps 0 to {horizon - 1} up to tmax {tmax}")
     return SimConfig(delta, tmax, sched, probes, tuple(ordered))
-
-
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"could not convert string to float: {_echo(text)}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{_echo(text.strip())} is not a finite number")
-    return value
 
 
 def _parse_input(key: str, value: str, base_dir: str, line: int, col: int) -> CtFn:

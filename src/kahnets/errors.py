@@ -2,9 +2,13 @@
 
 Every error carries a stable machine-readable ``code`` (used by the CLI) and
 an optional source location for errors raised while reading text files.
+Here too are the two helpers that text readers share: quoting what they
+refuse, and reading a finite number.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class KahnetsError(Exception):
@@ -71,3 +75,22 @@ class UndeclaredPort(KahnetsError):
 
 class ConfigError(KahnetsError):
     code = "config-error"
+
+
+#: How many characters of an expression or a token an error message echoes.
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted, cut to ``_ECHO_LIMIT`` characters."""
+    return repr(text) if len(text) <= _ECHO_LIMIT else repr(text[:_ECHO_LIMIT]) + "..."
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_echo(text)}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{_echo(text.strip())} is not a finite number")
+    return value

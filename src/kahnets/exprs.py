@@ -22,12 +22,9 @@ import operator
 import re
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, _echo
 
 _TOKEN = re.compile(r"\s*(\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?|[A-Za-z_]\w*|[()+\-*/]|\S)")
-
-#: How many characters of an expression or a token an error message echoes.
-_ECHO_LIMIT = 40
 
 #: How deep parentheses, function calls and unary minus may nest: far deeper
 #: than hand-written expressions, and far within Python's recursion limit at
@@ -47,11 +44,6 @@ _FUNCS: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
     "abs": abs,
 }
-
-
-def _echo(text: str) -> str:
-    """``text`` quoted, cut to ``_ECHO_LIMIT`` characters."""
-    return repr(text) if len(text) <= _ECHO_LIMIT else repr(text[:_ECHO_LIMIT]) + "..."
 
 
 def _fold(first, rest):

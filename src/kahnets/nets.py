@@ -35,9 +35,9 @@ operation builds a fresh net.
 :func:`compose`, :func:`tensor` and :func:`trace` number the union of their
 operands' wirings directly, operand after operand.  Only the boundary ports
 an operation glues can merge or lose their last reference; every other port
-keeps its references, or stays floating as it was in its own net.  So they
-number exactly as :func:`renumbered` would, which serves ``rewrite`` and the
-tests.
+keeps its references, or stays floating as it was in its own net.  For
+``rewrite``, :func:`renumbered` glues ports of one net and drops operators.
+All but :func:`tensor` number the ports of their result through :func:`_glued`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityMismatch, ArityTooSmall, UnknownKind, UnknownSymbol
@@ -347,65 +347,23 @@ def validate(net: Net, sig: Signature) -> ValidationReport:
 # Renumbering and quotients
 # ---------------------------------------------------------------------------
 
-def renumbered(*nets: Net, inputs: Optional[Sequence[int]] = None,
-               outputs: Optional[Sequence[int]] = None,
-               glue: Iterable[tuple[int, int]] = (), drop: Collection[int] = ()) -> Net:
-    """The disjoint union of ``nets`` rebuilt densely, optionally rewired.
+def renumbered(net: Net, *, glue: Iterable[tuple[int, int]] = (), drop: Collection[int] = ()) -> Net:
+    """``net`` rebuilt densely, less the operators of rank in ``drop``, with
+    the two ports of each ``glue`` pair (by rank) made one.
 
-    The union numbers operators and ports by rank, one net after the other;
-    ``inputs``, ``outputs``, ``glue`` and ``drop`` refer to that numbering.
-    The result keeps the union's operators except those in ``drop``, its
-    boundary inputs enter ``inputs`` and its outputs read ``outputs`` (by
-    default, those of the union in order), and the two ports of each ``glue``
-    pair become one.  Each class of glued ports is numbered by the order of its
-    smallest member.  A class that no slot of the result references is
-    dropped, unless one of its ports was referenced by no slot in its own net
-    either: an operation removes exactly the wiring it orphaned itself.
-    Feedback of an identity wire would otherwise leave behind a floating port
-    that nothing can observe, breaking equations such as
-    ``trace(identity(n1+n), n) = id``.
-
-    It serves ``rewrite`` and the tests; the constructions below compute the
-    same numbering directly.
+    Ports are numbered as the constructions number them (see
+    :func:`_glued`).  A class of glued ports, or a port of a dropped
+    operator, that no slot of the result references is dropped, unless one
+    of its ports was referenced by no slot of ``net`` either: an operation
+    removes exactly the wiring it orphaned itself.  It serves ``rewrite``.
     """
-    ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    keep: list[int] = []
-    union_in: list[int] = []
-    union_out: list[int] = []
-    base = 0
-    for net in nets:
-        w = net.wiring
-        shift = base.__add__
-        ops += (w.ops if not base else
-                [(lab, (*map(shift, xi),), (*map(shift, xo),)) for lab, xi, xo in w.ops])
-        keep += [base + p for p, d in enumerate(w.driver) if d is None and not w.readers[p]]
-        union_in += map(shift, w.inputs)
-        union_out += map(shift, w.outputs)
-        base += len(w.driver)
-    inputs = union_in if inputs is None else inputs
-    outputs = union_out if outputs is None else outputs
-    if drop:
-        ops = [op for x, op in enumerate(ops) if x not in drop]
-
-    rep: dict[int, int] = {}  # union-find over glued ports; the smallest member is the root
-
-    def find(p: int) -> int:
-        while p in rep:
-            q = rep[p]
-            rep[p] = p = rep.get(q, q)  # path halving
-        return p
-
-    for p, q in glue:
-        p, q = find(p), find(q)
-        if p != q:
-            rep[max(p, q)] = min(p, q)
-    used = set(chain(inputs, outputs, keep, *(xi + xo for _, xi, xo in ops)))
-    number = {c: i for i, c in enumerate(sorted({find(p) for p in used} if rep else used))}
-    port = {p: number[find(p)] for p in used} if rep else number
-    new = port.__getitem__
-
-    return _dense([(lab, (*map(new, xi),), (*map(new, xo),)) for lab, xi, xo in ops],
-                  (*map(new, inputs),), (*map(new, outputs),), len(number))
+    w = net.wiring
+    ops = [op for x, op in enumerate(w.ops) if x not in drop] if drop else w.ops
+    used = {*w.inputs, *w.outputs, *chain.from_iterable(xi + xo for _, xi, xo in ops)}
+    used.update(p for p, d in enumerate(w.driver) if d is None and not w.readers[p])
+    new, size = _glued(len(w.driver), glue, used.__contains__, set(range(len(w.driver))) - used)
+    new = new.__getitem__
+    return _dense(_mapped(ops, new), [*map(new, w.inputs)], [*map(new, w.outputs)], size)
 
 
 def _dense(ops: Sequence[tuple[str, tuple[int, ...], tuple[int, ...]]], inputs: Iterable[int],
@@ -505,12 +463,14 @@ def _kept(w: Wiring, p: int, m: int, n: int) -> bool:
             or any(r.__class__ is tuple or r < n for r in w.readers[p]))
 
 
-def _glued(size: int, glue: Iterable[tuple[int, int]],
-           live: Callable[[int], bool]) -> tuple[list[Optional[int]], int]:
+def _glued(size: int, glue: Iterable[tuple[int, int]], live: Callable[[int], bool],
+           orphans: Iterable[int] = ()) -> tuple[list[Optional[int]], int]:
     """The new number of each of the ports ``0..size-1`` (``None`` if it is
     dropped) once the two ports of each ``glue`` pair are one, and how many
-    ports are left.  A class takes the place of its smallest member and is
-    dropped when ``live`` holds for none of its members."""
+    ports are left.  A class takes the place of its smallest member.  Only
+    the glued ports and ``orphans`` (ports that the operators an operation
+    drops referenced) can lose their last reference: the class of such a
+    port is dropped when ``live`` holds for none of its members."""
     rep: dict[int, int] = {}  # union-find; the smallest member is the root
 
     def find(p: int) -> int:
@@ -525,18 +485,19 @@ def _glued(size: int, glue: Iterable[tuple[int, int]],
         p, q = find(p), find(q)
         if p != q:
             rep[max(p, q)] = min(p, q)
-    dropped = {*members}  # less the roots of the live classes
-    for p in members:
-        r = find(p)
-        if r in dropped and live(p):
-            dropped.remove(r)
-    new: list[Optional[int]] = []
-    for i, p in enumerate(sorted(dropped)):  # the ports below p keep their place, less i
-        new += [*range(len(new) - i, p - i), None]
-    new += range(len(new) - len(dropped), size - len(dropped))
+    maybe = {*members, *orphans}
+    # Each of these ports but the roots of the live classes gives up its place.
+    dropped = maybe.difference([find(p) for p in filter(live, maybe)])
+    kept = [1] * size
+    for p in dropped:
+        kept[p] = 0
+    new: list[Optional[int]] = [*accumulate(kept, initial=0)]  # the kept ports below each port
+    left = new.pop()
+    for p in dropped.difference(rep):  # the roots of the dead classes
+        new[p] = None
     for p in rep:
         new[p] = new[find(p)]
-    return new, size - len(dropped)
+    return new, left
 
 
 def compose(a: Net, b: Net) -> Net:

@@ -139,7 +139,8 @@ def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
     """Rewrite to normal form.
 
     By default the normal form is computed in one pass over the net's wiring
-    (see the module docstring) and built by one ``renumbered`` call; the
+    (see the module docstring) and built by one ``renumbered`` call, which
+    glues the shared outputs and drops the removed operators at once; the
     result and ``steps`` are those of taking the first redex in deterministic
     order at each step.  With ``rng``, the small-step reference strategy runs
     instead, taking a random redex at each step (used by the confluence tests;

@@ -19,9 +19,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 REACHED = {
     "simulate/1": ("kahn.operator_calls", "nstime.denote_it.calls", "dsl.parse_document.calls"),
     "laws/1": ("laws.instances", "iso.find_iso.calls", "nets.compose.calls",
-               "rewrite.normalize.calls"),
+               "rewrite.normalize.calls", "nets.renumbered.calls"),
     "bignets/1": ("dsl.parse_document.calls", "rewrite.normalize.calls", "iso.find_iso.calls",
-                  "kahn.operator_calls"),
+                  "kahn.operator_calls", "nets.renumbered.calls"),
 }
 
 

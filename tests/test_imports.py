@@ -72,7 +72,7 @@ GRAPH_ONLY = {"rewrite", "laws", "randnets", "kahn", "stdnets", "nstime", "confi
     (["normalize", fx("paper_example.net"), "main"], GRAPH_ONLY - {"rewrite"}),
     (["se-equiv", fx("paper_example.net"), "main", "renamed"], GRAPH_ONLY - {"rewrite"}),
     (["eval", fx("running_sum.net"), "main", "--input", "1,2,3"],
-     {"laws", "randnets", "rewrite", "iso"}),
+     {"laws", "randnets", "rewrite", "iso", "config", "nstime", "exprs"}),
     (["simulate", fx("integration.net"), "main", "--config", fx("sin01.cfg")],
      {"laws", "randnets", "rewrite", "iso"}),
     (["laws", "--count", "1"], {"dsl", "nstime", "config", "exprs"}),
