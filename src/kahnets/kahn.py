@@ -11,13 +11,14 @@ neither does anything :func:`denote` reports.
 Scheduling.  The operator graph (``y`` depends on ``x`` when ``y`` reads a
 port ``x`` drives) is condensed into strongly connected components (Tarjan
 1972), which are solved one at a time in topological order, each on the final
-streams of the components before it.  An operator on no loop is fired once,
-or, when it is a source or has no declared step, re-fired with a rising
-``limit`` while its output grows.  A loop is solved in sweeps: sweep ``r``
-extends the ports the loop drives to the least solution of its equations with
-each such port cut to ``r`` elements.  A loop with a delay therefore gains one
-element per sweep in whatever order its operators are listed, and a budget of
-``b`` sweeps leaves at most ``b`` elements on every port a loop drives.
+streams of the components before it.  A causal operator with inputs on no
+loop is fired once.  Every other component is solved in sweeps, until a sweep
+adds nothing.  In a loop, sweep ``r`` extends the ports the loop drives to the
+least solution of its equations with each such port cut to ``r`` elements.  A
+loop with a delay therefore gains one element per sweep in whatever order its
+operators are listed, and a budget of ``b`` sweeps leaves at most ``b``
+elements on every port a loop drives.  An operator on no loop that is a source
+or has no declared step is fired at every sweep, cut only by the window.
 
 Interpretations receive a ``limit`` argument, the current sweep number:
 functions with unbounded output (sources with no inputs) use it to produce
@@ -222,21 +223,23 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     """Evaluate the net on input streams with at most ``budget`` sweeps.
 
     Components of the operator graph are solved in topological order (see the
-    module docstring).  A causal operator with inputs on no loop fires once;
-    any other operator on no loop is re-called with ``limit`` 1, 2, ... up to
-    ``budget`` until its output stops growing.  A loop runs sweeps: sweep
-    ``r`` extends every port it drives to the least solution with such ports
-    cut to ``r`` elements.  Within a sweep only operators whose output the cut
-    held back, and then the readers of what grew, are fired; causal ones
-    append just the suffix their inputs newly define.
+    module docstring).  A causal operator with inputs on no loop fires once.
+    Every other component runs sweeps ``r`` = 1, 2, ... up to ``budget``
+    until one adds nothing, and each operator is called with ``limit`` ``r``.
+    In a loop, sweep ``r`` extends every port it drives to the least solution
+    with such ports cut to ``r`` elements, and only operators whose output
+    the cut held back, and then the readers of what grew, are fired.  Any
+    other operator on no loop is fired at every sweep, cut only by
+    ``max_len``.  Causal operators append just the suffix their inputs newly
+    define.
 
     ``max_len`` truncates every stream to a fixed window (used by the sampled
     continuous-time backend, where the window is the horizon).  Returns the
     tuple of boundary-output streams, plus :class:`DenoteStats` when asked:
     ``sweeps`` is that of the longest-running component, counting the sweep
     that found nothing to add; ``reached_fixpoint`` holds when every component
-    found such a sweep within budget; ``total_lengths`` sums the length of
-    every port after each sweep.
+    found such a sweep within budget (a net with no operators, vacuously);
+    ``total_lengths`` sums the length of every port after each sweep.
     """
     if len(inputs) != net.m:
         raise ArityMismatch(f"net takes {net.m} inputs, got {len(inputs)}")
@@ -292,30 +295,25 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     last = 0  # the latest sweep in which any port grew
     for comp in _components(w):
         x = comp[0]
-        if len(comp) == 1 and set(w.ops[x][1]).isdisjoint(w.ops[x][2]):
-            if fns[x].step is not None and fns[x].ins:
-                if budget >= 1 and fire(x, 1, max_len):
-                    last = max(last, 1)
-                continue
-            r = 0
-            while r < budget and fire(x, r + 1, max_len):
-                r += 1
-            last = max(last, r)
+        loop = len(comp) > 1 or not set(w.ops[x][1]).isdisjoint(w.ops[x][2])
+        if not loop and fns[x].step is not None and fns[x].ins:
+            if budget >= 1 and fire(x, 1, max_len):
+                last = max(last, 1)
             continue
-        # A loop: raising the cut can only let the held-back operators grow,
-        # and then the readers of what grew; one already at the cut is held
-        # back again without being fired.
+        # In a loop, raising the cut can only let the held-back operators
+        # grow, and then the readers of what grew; one already at the cut is
+        # held back again unfired.  One on no loop fires at every sweep.
         members = set(comp)
         pending.update(comp)
         for r in range(1, budget + 1):
-            cut = r if max_len is None else min(r, max_len)
-            todo = deque(y for y in comp if y in pending)
+            cut = r if loop and (max_len is None or r < max_len) else max_len
+            todo = deque(y for y in comp if y in pending or not loop)
             queued = set(todo)
             grew = False
             while todo:
                 y = todo.popleft()
                 queued.discard(y)
-                if all(len(v) >= cut for v in dests[y]):
+                if loop and all(len(v) >= cut for v in dests[y]):
                     pending.add(y)
                     continue
                 pending.discard(y)
@@ -333,7 +331,7 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     outputs = tuple(tuple(vals[p]) for p in w.outputs)
     if return_stats:
         lengths = tuple(accumulate((growth[r] for r in range(1, sweeps + 1)), initial=base))
-        return outputs, DenoteStats(sweeps, last < budget, lengths[1:])
+        return outputs, DenoteStats(sweeps, last < budget or not w.ops, lengths[1:])
     return outputs
 
 

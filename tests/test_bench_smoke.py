@@ -5,9 +5,11 @@ traced, and compares each answer with an oracle that does not use kahnets.
 A change under ``src/`` that breaks an interface the benchmark relies on
 fails here rather than only when the benchmark is next run.  So does one that
 moves a traced function out of the tracer's reach: a layer the workload runs
-then reads 0 calls.
+then reads 0 calls.  The span files the traced runs write are removed after
+the run.
 """
 
+import glob
 import os
 import re
 import subprocess
@@ -26,9 +28,15 @@ REACHED = {
 
 
 def test_smoke_run_is_correct():
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "run.py"), "--smoke"],
-                          cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                          timeout=600)
+    spans = os.path.join(ROOT, ".bench_work", "spans-*.csv.gz")
+    before = set(glob.glob(spans))
+    try:
+        done = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "run.py"), "--smoke"],
+                              cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, timeout=600)
+    finally:
+        for path in set(glob.glob(spans)) - before:
+            os.remove(path)
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [line for line in done.stdout.splitlines()
             if re.match(r"(simulate|laws|bignets)/[01] ", line)]

@@ -160,6 +160,14 @@ class TestEval:
         assert len(payload["outputs"][0]) == 100
         assert (payload["sweeps"], payload["reached_fixpoint"]) == (100, False)
 
+    def test_net_without_operators_at_budget_zero_does_not_warn(self, tmp_path, capsys):
+        path = tmp_path / "wire.net"
+        path.write_text("net main : 1 -> 1\n  ports p\n  in p\n  out p\n")
+        assert main(["eval", str(path), "main", "--input", "1,2", "--budget", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["0,1.0", "1,2.0"]
+        assert captured.err == ""
+
     def test_deterministic_output(self, capsys):
         main(["eval", fx("integration.net"), "main", "--input", "1,2,3,4", "--scale", "0.5"])
         first = capsys.readouterr().out

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kahnets import (ArityMismatch, CtFn, GenParams, Interpretation,
                      MissingBinding, MonotonicityViolation, Net, SamplingPeriod,
-                     StreamFn, as_stream_fn, check_functoriality, compose,
+                     Signature, StreamFn, as_stream_fn, check_functoriality, compose,
                      const_source, denote, denote_it, duplication, eps_fn,
                      find_iso, gen_random_net, generator, identity, iota_fn,
                      is_prefix, minus_fn, normalize, parse_document, plus_fn,
@@ -47,6 +47,11 @@ class TestBuiltins:
         src = const_source(7.0)
         assert src((), limit=1)[0] == (7.0,)
         assert src((), limit=3)[0] == (7.0, 7.0, 7.0)
+        net, interp = generator(Signature({"k": (0, 1)}), "k"), Interpretation({"k": src})
+        for budget, max_len, want in ((3, None, (3, 3, False)), (5, 2, (2, 3, True))):
+            (out,), stats = denote(net, interp, [], budget, max_len=max_len, return_stats=True)
+            assert (len(out), stats.sweeps, stats.reached_fixpoint) == want
+            assert set(out) == {7.0}
 
     @given(streams, streams, st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -90,6 +95,10 @@ class TestDenote:
         from kahnets.nets import Net
         net = Net(0, 1, frozenset({0}), {}, {0: 0}, {})
         assert denote(net, INTERP, [], budget=3) == ((),)
+
+    def test_net_without_operators_reaches_its_fixpoint_at_budget_zero(self):
+        out, stats = denote(identity(1), INTERP, [(1.0, 2.0)], 0, return_stats=True)
+        assert (out, stats.sweeps, stats.reached_fixpoint) == (((1.0, 2.0),), 0, True)
 
     def test_missing_binding(self):
         with pytest.raises(MissingBinding):
@@ -288,7 +297,7 @@ class TestNumberingIndependence:
         for index, net in enumerate(nets):
             ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, 8)))
                    for _ in range(net.m)]
-            for budget in (3, 40):
+            for budget in (0, 1, 3, 40):
                 want = denote(net, INTERP, ins, budget, return_stats=True)
                 for _ in range(3):
                     got = denote(renumber(net, rng), INTERP, ins, budget, return_stats=True)
@@ -319,19 +328,22 @@ def strip_steps(interp: Interpretation) -> Interpretation:
 class TestIncrementalMatchesWholePrefix:
     def test_fixtures_and_random_nets(self):
         rng = random.Random(47)
+        with_source = Signature({**STD_SIG.symbols, "src": (0, 1)})
         nets = [build(kind) for kind in KINDS] + [
-            gen_random_net(GenParams(seed=seed, signature=STD_SIG, max_operators=8))
-            for seed in range(60)]
+            gen_random_net(GenParams(seed=seed, signature=sig, max_operators=8))
+            for sig in (STD_SIG, with_source) for seed in range(60)]
         assert any(has_loop(net) for net in nets)
         assert any("beta" in net.labels.values() for net in nets)
+        assert any("src" in net.labels.values() for net in nets)
         assert any(net.ports - net.driven_ports() - {net.tgt[k] for k in range(net.m)}
                    for net in nets)
         for interp in (std_interpretation(), it_interpretation(0.5)):
+            interp = Interpretation({**interp.bindings, "src": const_source(3.0)})
             generic = strip_steps(interp)
             for index, net in enumerate(nets):
                 ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, 12)))
                        for _ in range(net.m)]
-                for budget in (1, 5, 40):
+                for budget in (0, 1, 2, 5, 40):
                     for max_len in (None, 7):
                         fast = denote(net, interp, ins, budget, max_len=max_len,
                                       return_stats=True)

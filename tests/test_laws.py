@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from kahnets import GenParams, gen_net, gen_random_net, validate
+from kahnets import (GenParams, ItStream, NonProductive, SamplingPeriod, denote_it,
+                     gen_net, gen_random_net, validate)
 from kahnets.laws import (_LAWS, ALL_AXIOMS, MONOIDAL_AXIOMS, NATURALITY_AXIOMS,
                           PRODUCT_AXIOMS, TRACE_AXIOMS, check_axiom, run_suite)
 from kahnets.nets import Net
-from kahnets.stdnets import STD_SIG
+from kahnets.stdnets import STD_SIG, it_interpretation
+from test_kahn import windowed
 
 
 def params(seed: int = 0, **kw) -> GenParams:
@@ -115,6 +117,38 @@ class TestSuites:
         a = run_suite("vanishing", params(3), 10)
         b = run_suite("vanishing", params(3), 10)
         assert (a.passed, a.total) == (b.passed, b.total)
+
+
+WINDOW = 30
+
+
+class TestStreamsModelTheLaws:
+    """Every model satisfies every law, so the two sides of each equation of
+    ``_LAWS`` denote alike.  Only windowed denotations are compared: a
+    budgeted prefix of a loop is not invariant under sharing."""
+
+    @pytest.mark.parametrize("axiom", sorted(_LAWS))
+    def test_both_sides_denote_alike(self, axiom):
+        _, sides, draw = _LAWS[axiom]
+        period = SamplingPeriod(0.5, WINDOW * 0.5)
+        sampled = it_interpretation(period.delta)
+
+        def at_one_delta(net, ins):
+            try:
+                outs = denote_it(net, sampled, [ItStream(period, s) for s in ins], period)
+            except NonProductive as error:
+                return str(error)
+            return [s.values for s in outs]
+
+        rng = random.Random(f"model:{axiom}")
+        for _ in range(100):
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            x, y = rng.randint(1, 2), rng.randint(1, 2)
+            for lhs, rhs in sides(*draw(rng, STD_SIG, a, b, x, y)):
+                ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, WINDOW)))
+                       for _ in range(lhs.m)]
+                assert windowed(lhs, ins, WINDOW) == windowed(rhs, ins, WINDOW), (lhs, rhs, ins)
+                assert at_one_delta(lhs, ins) == at_one_delta(rhs, ins), (lhs, rhs, ins)
 
 
 class TestSpecificLaws:
