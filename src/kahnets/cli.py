@@ -338,10 +338,12 @@ def _finite_arg(flag: str, text: str) -> float:
 
 
 def _parse_input_spec(spec: str) -> tuple[float, ...]:
+    """A ``step,value`` file, or finite numbers split at commas: an empty
+    field is refused, and only a blank ``spec`` is the empty stream."""
     if os.path.exists(spec):
         from .config import load_stream_csv
         return load_stream_csv(spec)
-    return tuple(_finite_arg("--input", v) for v in spec.split(",") if v.strip())
+    return tuple(_finite_arg("--input", v) for v in spec.split(",")) if spec.strip() else ()
 
 
 def _cmd_eval(args) -> int:

@@ -15,18 +15,20 @@ One item per line, ``#`` starts a comment::
 may be omitted when empty.  Parsing a printed document yields the same
 document, and printing is canonical.
 
-A parse error names its line and, where it concerns one token, that token's
-column.  Columns are computed only when an error is raised, by scanning the
-offending line again.  A well-formed op line, most of any large document, is
-accepted with one regular-expression match and is never split into tokens;
-any other well-formed line is split into tokens once and accepted whole.
+The grammar is stated once, in :class:`_Line`: one method per kind of line
+returns what the line declares or raises its first error.  A parse error
+names its line and, where it concerns one token, that token's column, which
+is computed only when the error is raised, by scanning the line again.  The
+one shortcut is for op lines, most of any large document: one
+regular-expression match, ``_OP_LINE``, accepts a well-formed op line without
+splitting it into tokens, and any line it does not accept goes to the grammar.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Optional
 
 from .errors import ArityMismatch, DslSyntaxError, KahnetsError, UndeclaredPort, UnknownSymbol
 from .nets import Net, Signature, _dense
@@ -35,7 +37,8 @@ _TOKEN = re.compile(r"->|[():]|[A-Za-z_]\w*|\d+|\S")
 # The shape of an op line: its id, its symbol, and its input and output port
 # lists.  Where both lists split on whitespace into declared ports, each a
 # whole ``[A-Za-z_]\w*`` token, the pieces are the tokens ``_TOKEN`` finds,
-# so a match accepts exactly the op lines that a token walk accepts.
+# so a match accepts only op lines that ``_Line.op`` accepts, and reads them
+# as it does.
 _OP_LINE = re.compile(r"\s*op\s+([A-Za-z_]\w*)\s+([A-Za-z_]\w*)"
                       r"\s*\(([^()]*)\)\s*->\s*\(([^()]*)\)\s*")
 
@@ -113,14 +116,13 @@ class _Net:
         self.line = line
         self.ports: list[str] = []
         self.port_set: set[str] = set()
-        self.ops: list[OpDef] = []
-        self.op_ids: set[str] = set()
-        self.inputs: Optional[list[str]] = None
-        self.outputs: Optional[list[str]] = None
+        self.ops: dict[str, OpDef] = {}
+        self.inputs: Optional[tuple[str, ...]] = None
+        self.outputs: Optional[tuple[str, ...]] = None
 
     def finish(self) -> NetDef:
-        inputs = self.inputs or []
-        outputs = self.outputs or []
+        inputs = self.inputs or ()
+        outputs = self.outputs or ()
         if len(inputs) != self.m:
             raise ArityMismatch(
                 f"net {self.name!r} declares {self.m} inputs but lists {len(inputs)}",
@@ -129,18 +131,16 @@ class _Net:
             raise ArityMismatch(
                 f"net {self.name!r} declares {self.n} outputs but lists {len(outputs)}",
                 line=self.line)
-        return NetDef(self.name, self.m, self.n, tuple(self.ports), tuple(self.ops),
-                      tuple(inputs), tuple(outputs))
+        return NetDef(self.name, self.m, self.n, tuple(self.ports), tuple(self.ops.values()),
+                      inputs, outputs)
 
 
 def parse_document(text: str) -> NetDocument:
-    """Read a document.  Inside a net block, a line is first matched whole
-    against the shape of an op line, ``_OP_LINE``; it is accepted when its
-    symbol is declared with the arity of its port lists, its id is new and
-    every port it lists is declared.  Any other line is split into tokens
-    once and accepted by comparing its token list against the shape of a
-    well-formed line.  Only a refused line is walked token by token, by
-    :class:`_Line`, to report its first error."""
+    """Read a document line by line: :class:`_Line` reads each line's tokens
+    and returns what the line declares or raises its first error.  The one
+    shortcut: inside a net block, an op line that ``_OP_LINE`` matches whole
+    is accepted untokenised when its symbol is declared with the arity of its
+    port lists, its id is new and its ports are declared."""
     symbols: dict[str, tuple[int, int]] = {}
     nets: list[NetDef] = []
     current: Optional[_Net] = None
@@ -151,60 +151,37 @@ def parse_document(text: str) -> NetDocument:
             match = _OP_LINE.fullmatch(code)
             if match is not None:
                 ident, sym, ins, outs = match[1], match[2], match[3].split(), match[4].split()
-                if (symbols.get(sym) == (len(ins), len(outs)) and ident not in current.op_ids
+                if (symbols.get(sym) == (len(ins), len(outs)) and ident not in current.ops
                         and current.port_set.issuperset(ins)
                         and current.port_set.issuperset(outs)):
-                    current.op_ids.add(ident)
-                    current.ops.append(OpDef(ident, sym, tuple(ins), tuple(outs)))
+                    current.ops[ident] = OpDef(ident, sym, tuple(ins), tuple(outs))
                     continue
         toks = _TOKEN.findall(code)
         if not toks:
             continue
-        keyword = toks[0]
-
-        if keyword in ("op", "ports", "in", "out"):
-            if current is None:
-                raise _Line(number, code, toks).error(
-                    DslSyntaxError, f"{keyword!r} outside of a net block", 0)
-            declared = current.port_set
-            if keyword == "op":
-                _Line(number, code, toks).reject_op(current, symbols)
-            listed = toks[1:]
-            if keyword == "ports":
-                fresh = set(listed)
-                if (len(fresh) == len(listed) and fresh.isdisjoint(declared)
-                        and all(p[0] in _IDENT_START for p in listed)):
-                    current.ports += listed
-                    declared.update(fresh)
-                    continue
-                _Line(number, code, toks).reject_ports(declared)
-            if keyword == "in" and current.inputs is None and declared.issuperset(listed):
-                current.inputs = listed
-            elif keyword == "out" and current.outputs is None and declared.issuperset(listed):
-                current.outputs = listed
-            else:
-                _Line(number, code, toks).reject_boundary(current)
-
-        elif keyword == "sig":
-            if (len(toks) == 4 and toks[1][0] in _IDENT_START and toks[1] not in symbols
-                    and toks[2][0].isdecimal() and toks[3][0].isdecimal()):
-                symbols[toks[1]] = (int(toks[2]), int(toks[3]))
-                continue
-            _Line(number, code, toks).reject_sig(symbols)
-
+        line, keyword = _Line(number, code, toks), toks[0]
+        if keyword == "sig":
+            name, arities = line.sig(symbols)
+            symbols[name] = arities
         elif keyword == "net":
             if current is not None:
                 nets.append(current.finish())
-            if not (len(toks) == 6 and toks[1][0] in _IDENT_START and toks[2] == ":"
-                    and toks[3][0].isdecimal() and toks[4] == "->" and toks[5][0].isdecimal()):
-                _Line(number, code, toks).reject_net()
-            if any(nd.name == toks[1] for nd in nets):
-                raise DslSyntaxError(f"net {toks[1]!r} declared twice", line=number)
-            current = _Net(toks[1], int(toks[3]), int(toks[5]), number)
-
+            current = line.net(nets)
+        elif keyword not in ("op", "ports", "in", "out"):
+            raise line.error(DslSyntaxError, f"unknown keyword {keyword!r}", 0)
+        elif current is None:
+            raise line.error(DslSyntaxError, f"{keyword!r} outside of a net block", 0)
+        elif keyword == "op":
+            op = line.op(current, symbols)
+            current.ops[op.ident] = op
+        elif keyword == "ports":
+            listed = line.ports(current.port_set)
+            current.ports += listed
+            current.port_set.update(listed)
+        elif keyword == "in":
+            current.inputs = line.boundary(current)
         else:
-            raise _Line(number, code, toks).error(
-                DslSyntaxError, f"unknown keyword {keyword!r}", 0)
+            current.outputs = line.boundary(current)
 
     if current is not None:
         nets.append(current.finish())
@@ -212,9 +189,9 @@ def parse_document(text: str) -> NetDocument:
 
 
 class _Line:
-    """A line that :func:`parse_document` did not accept, walked token by
-    token from the keyword on.  Each ``reject_*`` method raises the first
-    error of its kind of line; a token's column is found only then, by
+    """The grammar of a line, walked token by token from the keyword on.
+    Each kind of line has one method, which returns what the line declares
+    or raises its first error; a token's column is found only then, by
     scanning the line again."""
 
     def __init__(self, number: int, text: str, tokens: list[str]):
@@ -250,86 +227,104 @@ class _Line:
             raise self.error(DslSyntaxError, f"expected {what}, found {tok!r}", i)
         return tok, i
 
-    def nat(self, what: str) -> None:
+    def nat(self, what: str) -> int:
         tok, i = self.next(what)
         if not tok[0].isdecimal():
             raise self.error(DslSyntaxError, f"expected {what}, found {tok!r}", i)
+        return int(tok)
 
     def done(self) -> None:
         if self.pos < len(self.tokens):
             raise self.error(DslSyntaxError, f"unexpected trailing {self.tokens[self.pos]!r}",
                              self.pos)
 
-    def port_names(self) -> list[tuple[str, int]]:
+    def port_names(self) -> list[str]:
         """The rest of the line, which must be port names."""
-        return [self.ident("port name") for _ in range(self.pos, len(self.tokens))]
+        listed = self.tokens[self.pos:]
+        if not all(p[0] in _IDENT_START for p in listed):
+            for _ in listed:
+                self.ident("port name")
+        return listed
 
-    def paren_idents(self) -> list[tuple[str, int]]:
+    def declared(self, net: _Net, start: int, stop: int) -> tuple[str, ...]:
+        """Tokens ``start`` to ``stop``, which must be ports declared in ``net``."""
+        listed = self.tokens[start:stop]
+        if not net.port_set.issuperset(listed):
+            for i, p in enumerate(listed, start):
+                if p not in net.port_set:
+                    raise self.error(UndeclaredPort,
+                                     f"port {p!r} not declared in net {net.name!r}", i)
+        return tuple(listed)
+
+    def paren_ports(self, net: _Net) -> tuple[str, ...]:
+        """A parenthesised list of ports declared in ``net``."""
         self.expect("(")
-        out = []
+        start = self.pos
         while self.pos < len(self.tokens) and self.tokens[self.pos] != ")":
-            out.append(self.ident("port name"))
+            self.ident("port name")
         if self.pos == len(self.tokens):
             raise self.error(DslSyntaxError, "unclosed '('", len(self.tokens) - 1)
         self.pos += 1
-        return out
+        return self.declared(net, start, self.pos - 1)
 
-    def declared(self, net: _Net, ports: list[tuple[str, int]]) -> None:
-        for p, i in ports:
-            if p not in net.port_set:
-                raise self.error(UndeclaredPort, f"port {p!r} not declared in net {net.name!r}", i)
-
-    def unreachable(self) -> DslSyntaxError:
-        return DslSyntaxError("line rejected without a reason", line=self.number)
-
-    def reject_sig(self, symbols: dict[str, tuple[int, int]]) -> NoReturn:
+    def sig(self, symbols: dict[str, tuple[int, int]]) -> tuple[str, tuple[int, int]]:
+        """``sig NAME ARITY COARITY``: the symbol and its arities."""
         name, i = self.ident("symbol name")
         if name in symbols:
             raise self.error(DslSyntaxError, f"symbol {name!r} declared twice", i)
-        self.nat("arity")
-        self.nat("coarity")
+        arities = self.nat("arity"), self.nat("coarity")
         self.done()
-        raise self.unreachable()
+        return name, arities
 
-    def reject_net(self) -> NoReturn:
-        self.ident("net name")
+    def net(self, nets: list[NetDef]) -> _Net:
+        """``net NAME : M -> N``: a new net block."""
+        name, _ = self.ident("net name")
         self.expect(":")
-        self.nat("input count")
+        m = self.nat("input count")
         self.expect("->")
-        self.nat("output count")
+        n = self.nat("output count")
         self.done()
-        raise self.unreachable()
+        if any(nd.name == name for nd in nets):
+            raise DslSyntaxError(f"net {name!r} declared twice", line=self.number)
+        return _Net(name, m, n, self.number)
 
-    def reject_ports(self, declared: set[str]) -> NoReturn:
-        seen = set(declared)
-        for p, i in self.port_names():
-            if p in seen:
-                raise self.error(DslSyntaxError, f"port {p!r} declared twice", i)
-            seen.add(p)
-        raise self.unreachable()
+    def ports(self, declared: set[str]) -> list[str]:
+        """``ports NAME…``: port names not yet in ``declared``."""
+        listed = self.port_names()
+        fresh = set(listed)
+        if len(fresh) < len(listed) or not fresh.isdisjoint(declared):
+            seen = set(declared)
+            for i, p in enumerate(listed, 1):
+                if p in seen:
+                    raise self.error(DslSyntaxError, f"port {p!r} declared twice", i)
+                seen.add(p)
+        return listed
 
-    def reject_boundary(self, net: _Net) -> NoReturn:
+    def boundary(self, net: _Net) -> tuple[str, ...]:
+        """``in NAME…`` or ``out NAME…``: declared ports, one such line per net."""
         if (net.inputs if self.tokens[0] == "in" else net.outputs) is not None:
             raise self.error(DslSyntaxError, f"duplicate {self.tokens[0]!r} line", 0)
-        self.declared(net, self.port_names())
-        raise self.unreachable()
+        self.port_names()
+        return self.declared(net, 1, len(self.tokens))
 
-    def reject_op(self, net: _Net, symbols: dict[str, tuple[int, int]]) -> NoReturn:
+    def op(self, net: _Net, symbols: dict[str, tuple[int, int]]) -> OpDef:
+        """``op ID SYMBOL (IN…) -> (OUT…)``: an operator wired as its symbol's
+        arities say, from and to declared ports."""
         ident, i = self.ident("operator id")
-        if ident in net.op_ids:
+        if ident in net.ops:
             raise self.error(DslSyntaxError, f"operator {ident!r} declared twice", i)
         sym, s = self.ident("symbol name")
         if sym not in symbols:
             raise self.error(UnknownSymbol, f"symbol {sym!r} not declared", s)
-        ins = self.paren_idents()
-        self.declared(net, ins)
+        ins = self.paren_ports(net)
         self.expect("->")
-        outs = self.paren_idents()
-        self.declared(net, outs)
+        outs = self.paren_ports(net)
         self.done()
-        ar, co = symbols[sym]
-        raise self.error(ArityMismatch, f"operator {ident!r}: symbol {sym!r} is {ar}->{co}, "
-                                        f"wired {len(ins)}->{len(outs)}", s)
+        if symbols[sym] != (len(ins), len(outs)):
+            ar, co = symbols[sym]
+            raise self.error(ArityMismatch, f"operator {ident!r}: symbol {sym!r} is {ar}->{co}, "
+                                            f"wired {len(ins)}->{len(outs)}", s)
+        return OpDef(ident, sym, ins, outs)
 
 
 # ---------------------------------------------------------------------------

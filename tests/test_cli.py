@@ -492,6 +492,19 @@ class TestConfigValues:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": {"code": "config-error", "message": message}}
 
+    @pytest.mark.parametrize("spec", ["1,,2", "1,2,"])
+    def test_empty_input_fields(self, capsys, spec):
+        """Refused rather than dropped, which would shift every later value
+        by one step."""
+        message = "bad value for '--input': could not convert string to float: ''"
+        assert main(["eval", fx("running_sum.net"), "main", "--input", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error config-error: {message}\n"
+
+    def test_blank_input_is_the_empty_stream(self, capsys):
+        assert main(["eval", fx("running_sum.net"), "main", "--input", "", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"] == [[]]
+
     def test_non_finite_csv_samples(self, tmp_path, capsys):
         """A ``nan`` in an ``eval`` step,value file or in a ``simulate`` csv
         input is refused like a ``nan`` config value."""

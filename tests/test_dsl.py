@@ -5,12 +5,13 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 import pytest
 
 from kahnets import (ArityMismatch, ConfigError, DslSyntaxError, GenParams,
-                     UndeclaredPort, UnknownSymbol, find_iso, gen_random_net,
+                     UndeclaredPort, UnknownSymbol, dsl, find_iso, gen_random_net,
                      validate)
 from kahnets.config import parse_config
 from kahnets.dsl import OpDef, format_document, net_to_def, parse_document, NetDocument
@@ -370,6 +371,64 @@ def test_damaged_documents_parse_as_pinned():
     for case in cases:
         expected = {k: case[k] for k in ("document", "error") if k in case}
         assert parse_outcome(case["text"]) == expected, case["seed"]
+
+
+OP_LINE_PIECES = ("op", "x0", "x1", "x2", "alpha", "beta", "gamma", "(", ")", "->", "-", ">",
+                  "p0", "p1", "p2", "p3", "p4", "pé", "p9", "1a", "é", ",", "#", "()")
+SPACES = ("", " ", " ", "  ", "\t", "\u00a0", "\u3000")
+
+
+def generated_op_line(rng: random.Random) -> str:
+    """A well-formed op line, in a random layout and with up to two tokens
+    inserted, deleted or replaced, for ``TestOpLines``' net."""
+    sym = rng.choice(("alpha", "beta"))
+    ports = ("p0", "p1", "p2", "p3", "p4", "pé")
+    tokens = ["op", rng.choice(("x0", "x1", "x2", "x3")), sym, "(", *rng.choices(ports, k=2), ")",
+              "->", "(", *rng.choices(ports, k=1 if sym == "alpha" else 2), ")"]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(tokens) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            tokens.insert(i, rng.choice(OP_LINE_PIECES))
+        elif i < len(tokens):
+            tokens[i:i + 1] = [] if edit == "delete" else [rng.choice(OP_LINE_PIECES)]
+    # The space between two names is left out only now and then; they then
+    # read as one name.
+    line = rng.choice(SPACES)
+    for t in tokens:
+        names = line[-1:].isalnum() and t[0].isalnum()
+        line += rng.choice(SPACES[1:] if names and rng.random() < 0.9 else SPACES) + t
+    return line + rng.choice(SPACES)
+
+
+def parse_result(text: str):
+    """The document, or the error's type, message, line and column."""
+    try:
+        return parse_document(text)
+    except KahnetsError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+
+
+def test_the_op_line_shortcut_changes_no_outcome(monkeypatch):
+    """``_OP_LINE`` is the one shortcut past the grammar in ``_Line``: with
+    it matching nothing, every fixture, every text of
+    ``tests/golden/dsl-errors.json`` and 2,000 generated op lines parse to
+    the same document or fail with the same error, line and column."""
+    texts = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.net"))):
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    with open(DSL_ERRORS, encoding="utf-8") as handle:
+        texts += [case["text"] for case in json.load(handle)]
+    rng = random.Random(0)
+    head, tail = TestOpLines.HEAD + TestOpLines.X1, TestOpLines.TAIL
+    texts += [head + generated_op_line(rng) + "\n" + tail for _ in range(2000)]
+    with_shortcut = [parse_result(text) for text in texts]
+    monkeypatch.setattr(dsl, "_OP_LINE", re.compile(r"(?!)"))
+    assert [parse_result(text) for text in texts] == with_shortcut
+    generated = with_shortcut[-2000:]
+    accepted = sum(isinstance(result, NetDocument) for result in generated)
+    assert 500 < accepted < 1500
 
 
 if __name__ == "__main__":

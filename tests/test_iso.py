@@ -4,6 +4,7 @@ cross-checked against the two-table refinement it replaced."""
 
 import gc
 import glob
+import inspect
 import json
 import os
 import random
@@ -185,6 +186,39 @@ def test_the_search_binds_more_operators_than_the_recursion_limit():
     k = sys.getrecursionlimit() + 200
     w = find_iso(iota_rings(k), iota_rings(k, turn=1))
     assert w is not None and w.port_map[0] == 1
+
+
+def searched_with_backtracks(a: Net, b: Net) -> tuple[Optional[NetIso], int]:
+    """``find_iso(a, b)`` and how many times ``_match`` took back a choice,
+    counted by a line tracer on its ``stack.pop()`` line."""
+    code = _match.__code__
+    lines, start = inspect.getsourcelines(_match)
+    pop = start + next(k for k, line in enumerate(lines) if "stack.pop()" in line)
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == pop
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        return find_iso(a, b), count
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.mark.parametrize("a, b, backtracks", [
+    (iota_rings(1, 1, 1, 1), iota_rings(1, 3), 1),
+    (iota_rings(1, 3), iota_rings(1, 1, 1, 1), 4),
+])
+def test_the_search_backtracks_to_a_refusal(a, b, backtracks):
+    """Rings that refinement cannot tell apart (every port and operator
+    alike) but that are not isomorphic: the search refuses only after it
+    has taken back choices, as the exhaustive search does."""
+    assert searched_with_backtracks(a, b) == (None, backtracks)
+    assert brute_force_iso(a, b) is None
 
 
 # ---------------------------------------------------------------------------

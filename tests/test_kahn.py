@@ -119,6 +119,12 @@ class TestDenote:
             denote(generator(STD_SIG, "iota"), Interpretation({"iota": shrink}),
                    [(1.0, 2.0)], budget=3)
 
+    def test_step_with_the_wrong_stream_count_is_caught(self):
+        twice = StreamFn(1, 1, iota_fn.fn, "twice", step=lambda ss, have, limit: ((0.0,), (0.0,)))
+        with pytest.raises(ArityMismatch) as err:
+            denote(generator(STD_SIG, "iota"), Interpretation({"iota": twice}), [(1.0,)], budget=3)
+        assert err.value.message == "twice stepped 2 streams, declared 1"
+
     def test_sweep_lengths_form_a_chain(self):
         out, stats = denote(build("running_sum"), INTERP, [(1, 2, 3, 4)], budget=30,
                             return_stats=True)
@@ -160,6 +166,22 @@ class TestTraceFn:
         with pytest.raises(ArityMismatch):
             trace_fn(plus_fn, 2, budget=3)
 
+    def test_stream_counts_are_checked_in_and_out(self):
+        half = StreamFn(1, 2, lambda ss, limit: (ss[0],), name="half")
+        with pytest.raises(ArityMismatch) as err:
+            half(((1.0,), (2.0,)))
+        assert err.value.message == "half takes 1 streams, got 2"
+        with pytest.raises(ArityMismatch) as err:
+            half(((1.0,),))
+        assert err.value.message == "half returned 1 streams, declared 2"
+
+    def test_retracting_body_is_caught(self):
+        """The fed-back stream grows to ``(1.0,)`` and then shrinks to ``()``."""
+        flip = StreamFn(1, 1, lambda ss, limit: ((),) if ss[0] else ((1.0,),), name="flip")
+        with pytest.raises(MonotonicityViolation) as err:
+            trace_fn(flip, 1, budget=5)(())
+        assert err.value.message == "traced stream function retracted a prefix"
+
 
 class TestFunctoriality:
     def test_iota_composed_twice(self):
@@ -193,10 +215,10 @@ class TestFunctoriality:
             assert result.ok, (seed, result.records)
 
 
-def windowed(net: Net, ins, window: int = 40):
+def windowed(net: Net, ins, window: int = 40, interp: Interpretation = INTERP):
     """The outputs cut to ``window`` elements, with the sweep budget
     ``denote_it`` gives a window: enough for every loop to fill it."""
-    return denote(net, INTERP, ins, budget=window + len(net.wiring.driver) + 2, max_len=window)
+    return denote(net, interp, ins, budget=window + len(net.wiring.driver) + 2, max_len=window)
 
 
 SHARED_DELAY = """sig iota 1 1
