@@ -11,14 +11,17 @@ neither does anything :func:`denote` reports.
 Scheduling.  The operator graph (``y`` depends on ``x`` when ``y`` reads a
 port ``x`` drives) is condensed into strongly connected components (Tarjan
 1972), which are solved one at a time in topological order, each on the final
-streams of the components before it.  A causal operator with inputs on no
-loop is fired once.  Every other component is solved in sweeps, until a sweep
-adds nothing.  In a loop, sweep ``r`` extends the ports the loop drives to the
-least solution of its equations with each such port cut to ``r`` elements.  A
-loop with a delay therefore gains one element per sweep in whatever order its
-operators are listed, and a budget of ``b`` sweeps leaves at most ``b``
-elements on every port a loop drives.  An operator on no loop that is a source
-or has no declared step is fired at every sweep, cut only by the window.
+streams of the components before it, by one of two solvers over one shared
+store of port prefixes.  Fire-once: a causal operator with inputs on no loop
+is fired once.  Sweep: every other component is solved in sweeps, until a
+sweep adds nothing.  In a loop, sweep ``r`` extends the ports the loop drives
+to the least solution of its equations with each such port cut to ``r``
+elements.  A loop with a delay therefore gains one element per sweep in
+whatever order its operators are listed, and a budget of ``b`` sweeps leaves
+at most ``b`` elements on every port a loop drives.  An operator on no loop
+that is a source or has no declared step is fired at every sweep, cut only by
+the window.  The run's statistics are derived from the elements each sweep
+added.
 
 Interpretations receive a ``limit`` argument, the current sweep number:
 functions with unbounded output (sources with no inputs) use it to produce
@@ -169,10 +172,11 @@ class DenoteStats:
     total_lengths: tuple[int, ...]  # summed defined length after each sweep
 
 
-def _components(w: Wiring) -> list[tuple[int, ...]]:
+def _components(w: Wiring) -> list[tuple[tuple[int, ...], bool]]:
     """The strongly connected components of the operator graph (``y`` after
     ``x`` when ``y`` reads a port ``x`` drives), as operator ranks in
-    topological order (iterative Tarjan, so deep nets hit no recursion limit)."""
+    topological order (iterative Tarjan, so deep nets hit no recursion limit),
+    each with whether it is a loop (several operators, or one reading itself)."""
     succ: list[list[int]] = [[] for _ in w.ops]
     for y, (_, xi, _) in enumerate(w.ops):
         for p in xi:
@@ -183,7 +187,7 @@ def _components(w: Wiring) -> list[tuple[int, ...]]:
     low: dict[int, int] = {}
     stack: list[int] = []
     on_stack: set[int] = set()
-    comps: list[tuple[int, ...]] = []
+    comps: list[tuple[tuple[int, ...], bool]] = []
     for root in range(len(w.ops)):
         if root in index:
             continue
@@ -212,7 +216,7 @@ def _components(w: Wiring) -> list[tuple[int, ...]]:
                     while not comp or comp[-1] != x:
                         comp.append(stack.pop())
                         on_stack.discard(comp[-1])
-                    comps.append(tuple(comp))
+                    comps.append((tuple(comp), len(comp) > 1 or x in succ[x]))
     comps.reverse()
     return comps
 
@@ -222,16 +226,16 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
            return_stats: bool = False):
     """Evaluate the net on input streams with at most ``budget`` sweeps.
 
-    Components of the operator graph are solved in topological order (see the
-    module docstring).  A causal operator with inputs on no loop fires once.
-    Every other component runs sweeps ``r`` = 1, 2, ... up to ``budget``
-    until one adds nothing, and each operator is called with ``limit`` ``r``.
-    In a loop, sweep ``r`` extends every port it drives to the least solution
-    with such ports cut to ``r`` elements, and only operators whose output
-    the cut held back, and then the readers of what grew, are fired.  Any
-    other operator on no loop is fired at every sweep, cut only by
-    ``max_len``.  Causal operators append just the suffix their inputs newly
-    define.
+    The components of the operator graph are solved in topological order by
+    two solvers over one port store (see the module docstring).  Fire-once
+    fires a causal operator with inputs on no loop once, cut by ``max_len``.
+    Sweep runs any other component in sweeps ``r`` = 1, 2, ... up to
+    ``budget`` until one adds nothing, calling each operator with ``limit``
+    ``r``.  In a loop, sweep ``r`` extends every port it drives to the least
+    solution with such ports cut to ``r`` elements, firing only operators
+    whose output the cut held back, and then the readers of what grew.  A
+    source or a step-less operator on no loop is fired at every sweep, cut
+    only by ``max_len``.
 
     ``max_len`` truncates every stream to a fixed window (used by the sampled
     continuous-time backend, where the window is the horizon).  Returns the
@@ -243,16 +247,16 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     """
     if len(inputs) != net.m:
         raise ArityMismatch(f"net takes {net.m} inputs, got {len(inputs)}")
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"negative window: {max_len}")
 
     w = net.wiring
-    fns: list[StreamFn] = []
-    for x, (label, xi, xo) in enumerate(w.ops):
+    for label, m, n in sorted({(label, len(xi), len(xo)) for label, xi, xo in w.ops}):
         f = interp[label]
-        if f.ins != len(xi) or f.outs != len(xo):
-            raise ArityMismatch(
-                f"binding for {label!r} has arity {f.ins}->{f.outs}, "
-                f"operator {w.op_ids[x]} has {len(xi)}->{len(xo)}")
-        fns.append(f)
+        if (f.ins, f.outs) != (m, n):
+            raise ArityMismatch(f"binding for {label!r} has arity {f.ins}->{f.outs}, "
+                                f"the net wires {label!r} as {m}->{n}")
+    fns = [interp[label] for label, _, _ in w.ops]
     readers = [[s[0] for s in rs if s.__class__ is tuple] for rs in w.readers]
 
     # Each port's prefix is one list, extended in place, so an operator's
@@ -264,10 +268,10 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     dests = [tuple(vals[p] for p in xo) for _, _, xo in w.ops]
     base = sum(map(len, vals))
     growth: dict[int, int] = defaultdict(int)  # elements added in each sweep
-    pending: set[int] = set()  # loop operators that may grow when the cut rises
 
-    def fire(x: int, limit: int, cap: Optional[int]) -> list[int]:
-        """Extend the outputs of ``x`` up to ``cap``; the ports that grew."""
+    def fire(x: int, limit: int, cap: Optional[int], held: set[int]) -> list[int]:
+        """Extend the outputs of ``x`` up to ``cap``, adding ``x`` to ``held``
+        when the cap cuts one; the ports that grew."""
         f, dest = fns[x], dests[x]
         if f.step is not None:
             new = f.step(args[x], tuple(map(len, dest)), limit)
@@ -285,54 +289,54 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
         for p, v, s in zip(w.ops[x][2], dest, new):
             if cap is not None and len(v) + len(s) > cap:
                 s = s[:cap - len(v)]
-                pending.add(x)
+                held.add(x)
             if s:
                 v.extend(s)
                 growth[limit] += len(s)
                 grown.append(p)
         return grown
 
-    last = 0  # the latest sweep in which any port grew
-    for comp in _components(w):
-        x = comp[0]
-        loop = len(comp) > 1 or not set(w.ops[x][1]).isdisjoint(w.ops[x][2])
-        if not loop and fns[x].step is not None and fns[x].ins:
-            if budget >= 1 and fire(x, 1, max_len):
-                last = max(last, 1)
-            continue
-        # In a loop, raising the cut can only let the held-back operators
-        # grow, and then the readers of what grew; one already at the cut is
-        # held back again unfired.  One on no loop fires at every sweep.
+    def sweep(comp: tuple[int, ...], loop: bool) -> None:
+        """Sweep one component.  In a loop, raising the cut can only let the
+        operators in ``held`` grow, and then the readers of what grew; one
+        already at the cut is held back again unfired."""
         members = set(comp)
-        pending.update(comp)
+        held = set(comp)
         for r in range(1, budget + 1):
             cut = r if loop and (max_len is None or r < max_len) else max_len
-            todo = deque(y for y in comp if y in pending or not loop)
+            todo = deque(y for y in comp if y in held or not loop)
             queued = set(todo)
             grew = False
             while todo:
                 y = todo.popleft()
                 queued.discard(y)
                 if loop and all(len(v) >= cut for v in dests[y]):
-                    pending.add(y)
+                    held.add(y)
                     continue
-                pending.discard(y)
-                for p in fire(y, r, cut):
+                held.discard(y)
+                for p in fire(y, r, cut, held):
                     grew = True
                     for z in readers[p]:
                         if z in members and z not in queued:
                             todo.append(z)
                             queued.add(z)
             if not grew:
-                break
-            last = max(last, r)
+                return
 
-    sweeps = max(0, min(budget, last + 1))
+    for comp, loop in _components(w):
+        x = comp[0]
+        if loop or fns[x].step is None or not fns[x].ins:
+            sweep(comp, loop)
+        elif budget >= 1:
+            fire(x, 1, max_len, set())
+
     outputs = tuple(tuple(vals[p]) for p in w.outputs)
-    if return_stats:
-        lengths = tuple(accumulate((growth[r] for r in range(1, sweeps + 1)), initial=base))
-        return outputs, DenoteStats(sweeps, last < budget or not w.ops, lengths[1:])
-    return outputs
+    if not return_stats:
+        return outputs
+    latest = max(growth, default=0)  # the latest sweep in which any port grew
+    sweeps = max(0, min(budget, latest + 1))
+    lengths = tuple(accumulate((growth[r] for r in range(1, sweeps + 1)), initial=base))
+    return outputs, DenoteStats(sweeps, latest < budget or not w.ops, lengths[1:])
 
 
 def as_stream_fn(net: Net, interp: Interpretation, budget: int) -> StreamFn:
@@ -350,7 +354,7 @@ def trace_fn(f: StreamFn, x: int, budget: int) -> StreamFn:
     budget runs out before the iteration stabilizes, the prefix computed so
     far is returned (a short prefix means no more information within budget).
     """
-    if f.ins < x or f.outs < x:
+    if x < 0 or f.ins < x or f.outs < x:
         raise ArityMismatch(f"cannot trace {x} wires of a {f.ins}->{f.outs} stream function")
     a, b = f.ins - x, f.outs - x
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import tempfile
 
@@ -194,6 +195,26 @@ class TestEval:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["outputs"] == [[2.0, 4.0]]
+
+    def test_binding_arity_error_is_the_same_in_any_listing(self, tmp_path, capsys):
+        """``std_interpretation`` binds ``beta`` as 2->2 and ``sharing.net``
+        declares it 1->2.  The error names the symbol, not an operator's rank,
+        so shuffling the op lines does not change it."""
+        with open(fx("sharing.net"), encoding="utf-8") as handle:
+            lines = handle.readlines()
+        ops = [k for k, line in enumerate(lines) if line.startswith("  op ")]
+        rng = random.Random(26)
+        path = tmp_path / "shuffled.net"
+        errors = set()
+        for _ in range(12):
+            shuffled = list(lines)
+            for k, line in zip(ops, rng.sample([lines[k] for k in ops], len(ops))):
+                shuffled[k] = line
+            path.write_text("".join(shuffled))
+            assert main(["eval", str(path), "main", "--input", "1,2,3", "--input", "4,5"]) == 3
+            errors.add(capsys.readouterr().err)
+        assert errors == {"error arity-mismatch: binding for 'beta' has arity 2->2, "
+                          "the net wires 'beta' as 1->2\n"}
 
     def test_wrong_input_count_is_an_eval_error(self, capsys):
         assert main(["eval", fx("running_sum.net"), "main"]) == 3

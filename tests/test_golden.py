@@ -7,12 +7,15 @@ witnesses found between pairs of nets of up to 128 operators.  The
 constructions must also number their results the same whether their operands
 use sparse ids or dense ones.  It also pins the validation reports of
 damaged documents and hand-built nets, the slot dicts that parsed and
-constructed nets build from their wiring, and the outcome of the law suites.
+constructed nets build from their wiring, the outcome of the law suites, and
+what ``denote`` returns and how often it calls an operator on the example nets
+and on random nets with a source.
 """
 
 import contextlib
 import dataclasses
 import glob
+import hashlib
 import io
 import json
 import os
@@ -21,14 +24,14 @@ import sys
 
 import pytest
 
-from kahnets import (GenParams, Net, compose, find_iso, gen_random_net, normalize, tensor, trace,
-                     validate)
+from kahnets import (GenParams, Interpretation, Net, Signature, StreamFn, compose, const_source,
+                     denote, find_iso, gen_random_net, normalize, tensor, trace, validate)
 from kahnets.cli import _valid_net, main, net_to_json
 from kahnets.dsl import NetDef, NetDocument, format_document, parse_document
 from kahnets.errors import KahnetsError
 from kahnets.laws import _LAWS, run_suite
 from kahnets.nets import _dense, renumbered
-from kahnets.stdnets import STD_SIG, build
+from kahnets.stdnets import KINDS, STD_SIG, build, it_interpretation, std_interpretation
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -37,6 +40,13 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def write_json_lines(path: str, items) -> None:
+    """Write ``items`` as a JSON list, one compact item a line."""
+    lines = [json.dumps(item, separators=(",", ":")) for item in items]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("[\n" + ",\n".join(lines) + "\n]\n")
 
 
 def _cases():
@@ -125,11 +135,9 @@ def write_iso_big() -> None:
     into its ``iso`` field, one pair a line; the nets are kept as stored."""
     with open(ISO_BIG, encoding="utf-8") as handle:
         cases = json.load(handle)
-    lines = [json.dumps({**case, "iso": iso_json(net_from_json(case["a"]), net_from_json(case["b"]))},
-                        separators=(",", ":"))
-             for case in cases]
-    with open(ISO_BIG, "w", encoding="utf-8") as handle:
-        handle.write("[\n" + ",\n".join(lines) + "\n]\n")
+    write_json_lines(ISO_BIG, [{**case, "iso": iso_json(net_from_json(case["a"]),
+                                                        net_from_json(case["b"]))}
+                               for case in cases])
 
 
 def test_witnesses_between_big_nets_are_as_before():
@@ -398,9 +406,7 @@ def law_suites() -> list[dict]:
 
 def write_law_suites() -> None:
     """Write ``tests/golden/law-suites.json``, one suite a line."""
-    lines = [json.dumps(suite, separators=(",", ":")) for suite in law_suites()]
-    with open(LAW_SUITES, "w", encoding="utf-8") as handle:
-        handle.write("[\n" + ",\n".join(lines) + "\n]\n")
+    write_json_lines(LAW_SUITES, law_suites())
 
 
 def test_law_suites_are_as_pinned():
@@ -409,6 +415,81 @@ def test_law_suites_are_as_pinned():
     with open(LAW_SUITES, encoding="utf-8") as handle:
         golden = json.load(handle)
     assert law_suites() == golden
+
+
+# ---------------------------------------------------------------------------
+# Denotations, pinned evaluation for evaluation
+# ---------------------------------------------------------------------------
+
+DENOTE = os.path.join(GOLDEN, "denote.json")
+WITH_SOURCE = Signature({**STD_SIG.symbols, "src": (0, 1)})
+
+
+def counting(interp: Interpretation, keep_steps: bool, calls: list[int]) -> Interpretation:
+    """The same bindings, each call of a ``fn`` or ``step`` counted in
+    ``calls[0]``; without their steps unless ``keep_steps``."""
+    def counted(f):
+        def call(*args):
+            calls[0] += 1
+            return f(*args)
+        return call
+
+    return Interpretation({name: StreamFn(f.ins, f.outs, counted(f.fn), f.name,
+                                          step=counted(f.step) if keep_steps and f.step else None)
+                           for name, f in interp.bindings.items()})
+
+
+def denote_case(name: str, net: Net) -> dict:
+    """The net evaluated on random inputs under the standard and the sampled
+    interpretation (with a source ``src``), with steps kept and stripped, at
+    budgets 0, 1, 2, 7 and 30 and windows None and 4: 40 evaluations.  Each
+    one's sweep count, fixpoint flag and operator-call count are listed, and a
+    digest covers every output stream and ``DenoteStats`` as well."""
+    rng = random.Random(f"denote:{name}")
+    ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, 12)))
+           for _ in range(net.m)]
+    records, calls = [], [0]
+    for interp in (std_interpretation(), it_interpretation(0.5)):
+        interp = Interpretation({**interp.bindings, "src": const_source(3.0)})
+        for keep_steps in (True, False):
+            counted = counting(interp, keep_steps, calls)
+            for budget in (0, 1, 2, 7, 30):
+                for max_len in (None, 4):
+                    calls[0] = 0
+                    outs, stats = denote(net, counted, ins, budget, max_len=max_len,
+                                         return_stats=True)
+                    records.append((outs, dataclasses.astuple(stats), calls[0]))
+    return {"name": name,
+            "digest": hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16],
+            "sweeps": [stats[0] for _, stats, _ in records],
+            "fixpoint": "".join("01"[stats[1]] for _, stats, _ in records),
+            "calls": [n for _, _, n in records]}
+
+
+def denote_cases() -> list[dict]:
+    """:func:`denote_case` on the example nets and on 400 random nets of up
+    to 10 operators over the standard signature and a source."""
+    nets = [(kind, build(kind)) for kind in KINDS] + [
+        (f"seed {seed}", gen_random_net(GenParams(seed=seed, signature=WITH_SOURCE,
+                                                  max_operators=10)))
+        for seed in range(400)]
+    return [denote_case(name, net) for name, net in nets]
+
+
+def write_denote() -> None:
+    """Write ``tests/golden/denote.json``, one net a line."""
+    write_json_lines(DENOTE, denote_cases())
+
+
+def test_denotations_are_as_pinned():
+    """``denote`` gives the outputs, ``DenoteStats`` and operator-call counts
+    pinned in ``tests/golden/denote.json`` on all 16,200 evaluations."""
+    with open(DENOTE, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    cases = denote_cases()
+    assert [case["name"] for case in cases] == [case["name"] for case in golden]
+    for case, want in zip(cases, golden):
+        assert case == want, case["name"]
 
 
 if __name__ == "__main__":
@@ -420,3 +501,4 @@ if __name__ == "__main__":
         write_slot_dicts()
         write_iso_big()
         write_law_suites()
+        write_denote()

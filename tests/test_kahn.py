@@ -108,6 +108,11 @@ class TestDenote:
         with pytest.raises(ArityMismatch):
             denote(identity(2), INTERP, [(1,)], budget=2)
 
+    def test_negative_window_is_refused(self):
+        for net in (identity(1), build("running_sum")):
+            with pytest.raises(ValueError):
+                denote(net, INTERP, [(1, 2, 3)], 5, max_len=-1)
+
     def test_binding_arity_checked(self):
         bad = Interpretation({"iota": plus_fn})
         with pytest.raises(ArityMismatch):
@@ -163,8 +168,9 @@ class TestTraceFn:
         assert lhs == rhs
 
     def test_arity_guard(self):
-        with pytest.raises(ArityMismatch):
-            trace_fn(plus_fn, 2, budget=3)
+        for x in (2, -1):
+            with pytest.raises(ArityMismatch):
+                trace_fn(plus_fn, x, budget=3)
 
     def test_stream_counts_are_checked_in_and_out(self):
         half = StreamFn(1, 2, lambda ss, limit: (ss[0],), name="half")

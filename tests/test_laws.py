@@ -10,7 +10,7 @@ from kahnets.laws import (_LAWS, ALL_AXIOMS, MONOIDAL_AXIOMS, NATURALITY_AXIOMS,
                           PRODUCT_AXIOMS, TRACE_AXIOMS, check_axiom, run_suite)
 from kahnets.nets import Net
 from kahnets.stdnets import STD_SIG, it_interpretation
-from test_kahn import INTERP, windowed
+from test_kahn import INTERP, renumber, windowed
 
 
 def params(seed: int = 0, **kw) -> GenParams:
@@ -140,31 +140,34 @@ class TestStreamsModelTheLaws:
     ``a`` 0 (so a traced net's inputs are all fed back) and ``b`` at least 1
     (so there is an output to compare): they run productive loops.  Only
     those tell apart an evaluator that depends on the order of a loop's
-    operators: ``sliding`` moves ``g`` across the feedback wire, so its two
-    sides list a loop's operators in two orders."""
+    operators.  ``sliding`` moves ``g`` across the feedback wire, so its two
+    sides list a loop's operators in two orders; the two sides of the other
+    laws list them in the same relative order, so each side is also compared
+    with a copy of itself with its operators and ports renumbered."""
 
     @pytest.mark.parametrize("axiom", sorted(_LAWS))
     def test_both_sides_denote_alike(self, axiom, monkeypatch):
         _, sides, draw = _LAWS[axiom]
-        rng = random.Random(f"model:{axiom}")
+        rng, renumbering = random.Random(f"model:{axiom}"), random.Random(f"renumber:{axiom}")
         for _ in range(100):
             a, b = rng.randint(0, 2), rng.randint(0, 2)
             x, y = rng.randint(1, 2), rng.randint(1, 2)
             for lhs, rhs in sides(*draw(rng, STD_SIG, a, b, x, y)):
-                self.assert_alike(lhs, rhs, rng, INTERP, WINDOW)
+                self.assert_alike(lhs, rhs, rng, renumbering, INTERP, WINDOW)
         drawn = laws._net
         monkeypatch.setattr(laws, "_net", lambda *args, **kw: drawn(*args, **{**kw, "undriven": False}))
         lagged = Interpretation({**INTERP.bindings, "lag": LAG})
         for _ in range(100):
             b, x, y = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
             for lhs, rhs in sides(*draw(rng, DELAYED, 0, b, x, y)):
-                self.assert_alike(lhs, rhs, rng, lagged, DELAYED_WINDOW)
+                self.assert_alike(lhs, rhs, rng, renumbering, lagged, DELAYED_WINDOW)
 
     @staticmethod
-    def assert_alike(lhs: Net, rhs: Net, rng: random.Random, interp: Interpretation,
-                     window: int) -> None:
-        """Equal windowed outputs on random inputs, and equal outputs (or
-        both non-productive) at one sampling period."""
+    def assert_alike(lhs: Net, rhs: Net, rng: random.Random, renumbering: random.Random,
+                     interp: Interpretation, window: int) -> None:
+        """Equal windowed outputs on random inputs, of both sides and of a
+        renumbered copy of each, and equal outputs (or both non-productive)
+        at one sampling period."""
         period = SamplingPeriod(0.5, window * 0.5)
         sampled = Interpretation({**it_interpretation(period.delta).bindings, "lag": LAG})
 
@@ -177,8 +180,9 @@ class TestStreamsModelTheLaws:
 
         ins = [tuple(float(rng.randint(-4, 4)) for _ in range(rng.randint(0, window)))
                for _ in range(lhs.m)]
-        assert windowed(lhs, ins, window, interp) == windowed(rhs, ins, window, interp), \
-            (lhs, rhs, ins)
+        want = windowed(lhs, ins, window, interp)
+        for net in (rhs, renumber(lhs, renumbering), renumber(rhs, renumbering)):
+            assert windowed(net, ins, window, interp) == want, (lhs, rhs, net, ins)
         assert at_one_delta(lhs, ins) == at_one_delta(rhs, ins), (lhs, rhs, ins)
 
 
