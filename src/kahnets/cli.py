@@ -195,14 +195,18 @@ def _emit_error(exc: KahnetsError, as_json: bool) -> None:
         print(f"error {exc.format()}", file=sys.stderr)
 
 
-def _load(path: str) -> NetDocument:
-    from .dsl import parse_document
+def _read(path: str, error_class: type[KahnetsError]) -> str:
+    """The UTF-8 text of ``path``; raises ``error_class`` if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DslSyntaxError(f"cannot read {path}: {exc}") from None
-    return parse_document(text)
+        raise error_class(f"cannot read {path}: {exc}") from None
+
+
+def _load(path: str) -> NetDocument:
+    from .dsl import parse_document
+    return parse_document(_read(path, DslSyntaxError))
 
 
 def _valid_net(doc: NetDocument, name: str) -> Net:
@@ -382,12 +386,8 @@ def _cmd_simulate(args) -> int:
     from .config import parse_config
     doc = _load(args.file)
     net = _valid_net(doc, args.net)
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {args.config}: {exc}") from None
-    cfg = parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
+    cfg = parse_config(_read(args.config, ConfigError),
+                       base_dir=os.path.dirname(os.path.abspath(args.config)))
     if len(cfg.inputs) != net.m:
         raise ConfigError(f"net {args.net!r} takes {net.m} inputs, config binds {len(cfg.inputs)}")
 

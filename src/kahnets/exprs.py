@@ -62,15 +62,7 @@ def _fold(first, rest):
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                break
-            if m.group(1).strip():
-                self.tokens.append((m.group(1), m.start(1) + 1))
-            pos = m.end()
+        self.tokens = [(m[1], m.start(1) + 1) for m in _TOKEN.finditer(text)]
         self.pos = 0
         self.depth = 0
 

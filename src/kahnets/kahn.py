@@ -247,6 +247,8 @@ def denote(net: Net, interp: Interpretation, inputs: Sequence[Sequence[float]],
     """
     if len(inputs) != net.m:
         raise ArityMismatch(f"net takes {net.m} inputs, got {len(inputs)}")
+    if budget < 0:
+        raise ValueError(f"negative budget: {budget}")
     if max_len is not None and max_len < 0:
         raise ValueError(f"negative window: {max_len}")
 
@@ -356,6 +358,8 @@ def trace_fn(f: StreamFn, x: int, budget: int) -> StreamFn:
     """
     if x < 0 or f.ins < x or f.outs < x:
         raise ArityMismatch(f"cannot trace {x} wires of a {f.ins}->{f.outs} stream function")
+    if budget < 0:
+        raise ValueError(f"negative budget: {budget}")
     a, b = f.ins - x, f.outs - x
 
     def run(streams: tuple[Stream, ...], limit: int) -> tuple[Stream, ...]:

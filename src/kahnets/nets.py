@@ -229,7 +229,9 @@ class Wiring(NamedTuple):
 def _make_wiring(ops, inputs, outputs, op_ids, port_ids) -> Wiring:
     """The wiring with these operators and boundary ports, adding each port's
     driver and readers.  Raises ``RuntimeError`` when two slots drive one
-    port, which no valid net has."""
+    port, which no valid net has.  The constructions never do (each port they
+    glue keeps at most one driver); the refusal serves parsed nets, hand-built
+    nets, and ``renumbered`` given glue that joins two driven ports."""
     # Tuples here and in the constructions are built from lists or starred
     # displays, never as ``tuple(<iterator>)``: CPython 3.11 gives that 10
     # slots and shrinks it, so each such tuple leaves the size-10 free list

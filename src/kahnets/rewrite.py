@@ -29,11 +29,11 @@ normal form in one pass over the wiring and one rebuild:
 
 Erasing never creates a sharing redex, so sharing may saturate first.  The
 small-step strategy that takes the first redex each time does just that (it
-lists sharing redexes first), keeps the smaller operator of each shared pair
-and numbers a glued port class by its smallest member; so the result and its
-step count are that strategy's, slot for slot.  ``normalize(net, rng=...)``
-runs the small-step strategy itself with random redex choices, as the
-reference for the confluence tests.
+lists sharing redexes first) and keeps the smaller operator of each shared
+pair.  The rebuild is handed each glued port with its class root and numbers
+a class by its smallest member; so the result and its step count are that
+strategy's, slot for slot.  ``normalize(net, rng=...)`` runs the small-step
+strategy itself with random redex choices, as the confluence tests' reference.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
 
     By default the normal form is computed in one pass over the net's wiring
     (see the module docstring) and built by one ``renumbered`` call, which
-    glues the shared outputs and drops the removed operators at once; the
+    is handed the port classes and drops the removed operators at once; the
     result and ``steps`` are those of taking the first redex in deterministic
     order at each step.  With ``rng``, the small-step reference strategy runs
     instead, taking a random redex at each step (used by the confluence tests;
@@ -159,8 +159,8 @@ def normalize(net: Net, *, rng: Optional[random.Random] = None) -> SharedNet:
 
 
 def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
-    """The port pairs to glue and the operators to remove, by rank, that take
-    the net with this wiring to its normal form."""
+    """Each glued port but a class root, paired with its root, and the
+    operators to remove, by rank, that take the net to its normal form."""
     ops = w.ops
     parent = list(range(len(w.driver)))  # union-find over ports
 
@@ -177,7 +177,6 @@ def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
     alive = [True] * len(ops)
     key: list[Optional[tuple]] = [None] * len(ops)
     table: dict[tuple, int] = {}  # key -> the operator holding it
-    glue: list[tuple[int, int]] = []
     removed: list[int] = []
     work = list(reversed(range(len(ops))))  # popped in rank order
     while work:
@@ -198,7 +197,6 @@ def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
         removed.append(lose)
         table[k] = keep
         for p, q in zip(ops[keep][2], ops[lose][2]):
-            glue.append((p, q))
             p, q = find(p), find(q)
             if p != q:
                 if len(users[p]) < len(users[q]):
@@ -236,7 +234,7 @@ def _normal_form(w: Wiring) -> tuple[list[tuple[int, int]], list[int]]:
                 y = driver[c]
                 if alive[y] and dead(y):
                     work.append(y)
-    return glue, removed
+    return [(p, r) for p, r in enumerate(root) if p != r], removed
 
 
 def se_equivalent(a: Net, b: Net) -> bool:

@@ -197,6 +197,8 @@ class TestExpressions:
         ("-t + 2", 0.5, 1.5),
         ("(1 + t) / 2", 3.0, 2.0),
         ("2e-3 * t", 10.0, 0.02),
+        ("t  ", 1.25, 1.25),
+        ("sin(t) ", 0.7, math.sin(0.7)),
     ]
 
     def test_evaluates_like_the_closed_form(self):

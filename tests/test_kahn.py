@@ -113,6 +113,11 @@ class TestDenote:
             with pytest.raises(ValueError):
                 denote(net, INTERP, [(1, 2, 3)], 5, max_len=-1)
 
+    def test_negative_budget_is_refused(self):
+        for net in (identity(1), build("running_sum")):
+            with pytest.raises(ValueError, match="negative budget: -3"):
+                denote(net, INTERP, [(1, 2, 3)], -3, return_stats=True)
+
     def test_binding_arity_checked(self):
         bad = Interpretation({"iota": plus_fn})
         with pytest.raises(ArityMismatch):
@@ -171,6 +176,10 @@ class TestTraceFn:
         for x in (2, -1):
             with pytest.raises(ArityMismatch):
                 trace_fn(plus_fn, x, budget=3)
+
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="negative budget: -1"):
+            trace_fn(plus_fn, 1, budget=-1)
 
     def test_stream_counts_are_checked_in_and_out(self):
         half = StreamFn(1, 2, lambda ss, limit: (ss[0],), name="half")

@@ -1,6 +1,7 @@
 """Sharing/erasing rewriting: redexes, steps, normal forms, confluence."""
 
 import random
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 from test_golden import sparse
@@ -10,7 +11,7 @@ from kahnets import (ArityMismatch, GenParams, Net, Redex, StaleRedex,
                      apply_redex, compose, duplication, erasure, find_iso,
                      gen_random_net, generator, identity, is_shared, normalize,
                      projection, redexes, rewrite, se_equivalent, symmetry, tensor, trace)
-from kahnets.nets import renumbered
+from kahnets.nets import _dense, renumbered
 from kahnets.stdnets import STD_SIG, build
 
 
@@ -284,3 +285,35 @@ class TestWorklistNormalize:
         shared = normalize(scale_fanout(2000))
         assert (len(shared.net.labels), shared.steps) == (1, 1999)
         assert len(set(shared.net.wiring.outputs)) == 1
+
+
+def small_nets(max_ops: int):
+    """Every net 1 -> 1 over ``iota`` 1 -> 1 and ``plus`` 2 -> 1 with at most
+    ``max_ops`` operators and every read driven: for each multiset of labels
+    (operator x drives port x + 1, the input enters port 0), each choice of
+    driven port for each operator input and for the boundary output."""
+    arity = {"iota": 1, "plus": 2}
+    for k in range(max_ops + 1):
+        for labels in combinations_with_replacement(sorted(arity), k):
+            for reads in product(range(k + 1), repeat=sum(arity[a] for a in labels) + 1):
+                it = iter(reads)
+                ops = [(a, tuple(islice(it, arity[a])), (x + 1,)) for x, a in enumerate(labels)]
+                yield _dense(ops, (0,), (next(it),), k + 1)
+
+
+class TestEverySmallNet:
+    """Exhaustive over the 364 nets of at most two operators.  The 22,124 of
+    at most three pass too, but take about 50 times as long to check, so
+    they are not run here."""
+
+    def test_the_enumeration_is_exhaustive_and_duplicate_free(self):
+        nets = [(w.ops, w.outputs) for w in (net.wiring for net in small_nets(2))]
+        assert len(nets) == len(set(nets)) == 1 + (4 + 8) + (27 + 81 + 243)
+
+    def test_normal_form_is_that_of_random_strategies_and_keeps_the_denotation(self):
+        ins = [(1.0, -2.0, 3.0, 0.5)]
+        for i, net in enumerate(small_nets(2)):
+            shared = normalize(net).net
+            for k in (2 * i, 2 * i + 1):
+                assert find_iso(shared, normalize(net, rng=random.Random(k)).net) is not None, i
+            assert windowed(net, ins) == windowed(shared, ins), i
